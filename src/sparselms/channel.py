@@ -16,6 +16,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError
 
@@ -110,6 +111,20 @@ def regressor(signal, n, n_taps):
     k = min(n + 1, int(n_taps))
     x[:k] = samples[n - k + 1:n + 1][::-1]
     return x
+
+
+def delay_lines(samples, n_taps):
+    """Every regressor of a batch of input sequences, without copying.
+
+    ``samples`` is ``(..., T)``; returns a read-only ``(..., T, N)`` view
+    whose row n equals ``regressor(samples, n, N)``.  The rows are forward
+    slices of the reversed, zero-padded input, so their inner stride is +1.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n_taps = int(n_taps)
+    padded = np.zeros(samples.shape[:-1] + (samples.shape[-1] + n_taps - 1,))
+    padded[..., :samples.shape[-1]] = samples[..., ::-1]
+    return sliding_window_view(padded, n_taps, axis=-1)[..., ::-1, :]
 
 
 def _write_csv(path, values):

@@ -224,8 +224,13 @@ def parse_config(path):
         keymap.update(_PENALTY_KEYS[spec.penalty])
         sec = parser[section_name]
         _check_keys(section_name, sec, keymap)
-        overrides = {keymap[k]: _get(sec, k, float, None) for k in sec}
-        algorithms.append(spec.with_overrides(**overrides))
+        # one key at a time, so that a rejected value is named by its key
+        for key in sec:
+            try:
+                spec = spec.with_overrides(**{keymap[key]: _get(sec, key, float, None)})
+            except ParameterError as exc:
+                raise ConfigError(f"bad value for {key!r} in [{section_name}]: {exc}") from exc
+        algorithms.append(spec)
 
     if not algorithms:
         raise ConfigError("no [algorithm.*] sections configured")
@@ -294,6 +299,8 @@ def _utc_now():
 
 def cmd_run(args):
     try:
+        if args.workers < 1:
+            raise ParameterError(f"--workers must be >= 1, got {args.workers}")
         config = parse_config(args.config)
         overrides = {}
         if args.seed is not None:

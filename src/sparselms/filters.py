@@ -24,11 +24,18 @@ previous iterate (w(-1) = 0, so the first step uses a uniform 1/delta
 weight), and ``lp`` is the gradient of the nonconvex p-quasinorm smoothed
 by eps.  With sgn(0) = 0, exact zeros are fixed points of every attractor.
 
+The rules exist once, in :class:`Rules`, which advances a block of
+coefficient rows (algorithms x trials x taps) by one sample; :func:`step`
+is its one-row case and :func:`attractor` acts along the last axis.
+
 ``family`` x ``penalty`` gives the ten wire names used throughout the
 package: lms, slms, lms-za, slms-za, lms-rza, slms-rza, lms-rl1, slms-rl1,
 lms-lp, slms-lp.
 """
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,14 +87,14 @@ class AlgorithmSpec:
             raise ParameterError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.penalty not in PENALTIES:
             raise ParameterError(f"penalty must be one of {PENALTIES}, got {self.penalty!r}")
-        if not (self.mu > 0):
-            raise ParameterError(f"mu must be positive, got {self.mu}")
+        for attr in ("mu", "eps_rza", "delta_rl1", "eps_lp"):
+            value = getattr(self, attr)
+            if not (math.isfinite(value) and value > 0):
+                raise ParameterError(f"{attr} must be finite and positive, got {value}")
         for attr in ("rho_za", "rho_rza", "rho_rl1", "rho_lp"):
-            if getattr(self, attr) < 0:
-                raise ParameterError(f"{attr} must be >= 0, got {getattr(self, attr)}")
-        for attr in ("eps_rza", "delta_rl1", "eps_lp"):
-            if not (getattr(self, attr) > 0):
-                raise ParameterError(f"{attr} must be positive, got {getattr(self, attr)}")
+            value = getattr(self, attr)
+            if not (math.isfinite(value) and value >= 0):
+                raise ParameterError(f"{attr} must be finite and >= 0, got {value}")
         if not (0.0 < self.p < 1.0):
             raise ParameterError(f"p must be in (0, 1), got {self.p}")
 
@@ -141,8 +148,9 @@ def error(desired, state, x):
 
 
 def attractor(spec, w, w_prev=None):
-    """The zero-attraction term subtracted by :func:`step`.
+    """The zero-attraction term subtracted by the update, along the last axis.
 
+    ``w`` holds one coefficient vector per row of its last axis.
     ``w_prev`` is only consulted by the rl1 penalty and defaults to zeros
     (the startup convention).
     """
@@ -157,28 +165,81 @@ def attractor(spec, w, w_prev=None):
         if w_prev is None:
             w_prev = np.zeros_like(w)
         return spec.rho_rl1 * s / (spec.delta_rl1 + np.abs(w_prev))
-    # lp; the norm factor is 0 for w = 0, so zero stays a fixed point
+    # lp; the norm factor is 0 for w = 0, so zero stays a fixed point.  The
+    # factor takes numpy's scalar (libm) pow row by row, as the one-vector
+    # rule of sparselms 0.1.0 did: numpy's array power loops round
+    # differently, and the learning curves are kept bit-identical
     q = 1.0 - spec.p
-    norm_p = np.sum(np.abs(w) ** spec.p) ** (1.0 / spec.p)
-    return spec.rho_lp * norm_p**q * s / (spec.eps_lp + np.abs(w) ** q)
+    a = np.abs(w)
+    sums = (a ** spec.p).sum(axis=-1, keepdims=True)
+    factor = np.array([spec.rho_lp * (t ** (1.0 / spec.p)) ** q for t in sums.flat])
+    return factor.reshape(sums.shape) * s / (spec.eps_lp + a ** q)
+
+
+class Rules:
+    """The update rules of a block of coefficient rows, one per spec.
+
+    A block is a ``(rules, trials, taps)`` array: row ``i`` runs
+    ``specs[order[i]]`` on every trial of the block.  The rows are ordered
+    so that the algorithms sharing a penalty and its hyperparameters form
+    one contiguous slice, which costs one :func:`attractor` call on a view
+    per sample.
+
+    Every product is formed as in the one-row recursion (``np.vecdot`` on
+    forward-strided rows is the same dot product as ``w @ x``), so a block
+    reproduces a per-sample loop over :func:`step` bit for bit.
+    """
+
+    def __init__(self, specs):
+        # rows whose specs differ only in family and step size share an attractor
+        keys = [replace(spec, family="sign", mu=DEFAULT_MU) for spec in specs]
+        rank = {}
+        for key in keys:
+            rank.setdefault(key, len(rank))
+        self.order = tuple(sorted(range(len(specs)), key=lambda i: rank[keys[i]]))
+        ordered = [specs[i] for i in self.order]
+        self.mu = np.array([[spec.mu] for spec in ordered])
+        self.sign = np.array([[spec.family == "sign"] for spec in ordered])
+        self.groups = []
+        start = 0
+        for key, members in itertools.groupby(self.order, key=keys.__getitem__):
+            stop = start + len(list(members))
+            if key.penalty != "none":
+                self.groups.append((key, slice(start, stop)))
+            start = stop
+
+    def advance(self, w, w_prev, x, d):
+        """w(n+1) of every row, given w(n) and w(n-1) as ``(rules, trials,
+        taps)`` blocks, the regressors ``x`` as ``(trials, taps)`` and the
+        desired samples ``d`` as ``(trials,)``."""
+        e = d - np.vecdot(w, x)
+        coef = self.mu * np.where(self.sign, np.sign(e), e)
+        w_new = w + coef[..., None] * x
+        for spec, rows in self.groups:
+            w_new[rows] -= attractor(spec, w[rows], w_prev[rows])
+        return w_new
+
+
+@functools.lru_cache(maxsize=128)
+def _one_row_rules(spec):
+    return Rules((spec,))
 
 
 def step(spec, state, x, d):
     """Advance the filter by one sample; returns a new state.
 
-    Does not mutate its arguments.  Raises :class:`DivergenceError` if any
-    updated coefficient is non-finite.
+    The one-row case of :meth:`Rules.advance`.  Does not mutate its
+    arguments.  Raises :class:`DivergenceError` if any updated coefficient
+    is non-finite.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape != state.w.shape:
+        raise ParameterError(f"regressor shape {x.shape} does not match taps {state.w.shape}")
     # overflow here is the anticipated divergence mode, reported via the
     # guard below rather than as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        e = error(d, state, x)
-        if spec.family == "sign":
-            g = spec.mu * np.sign(e) * x
-        else:
-            g = spec.mu * e * x
-        w_new = state.w + g - attractor(spec, state.w, state.w_prev)
+        w_new = _one_row_rules(spec).advance(
+            state.w[None, None], state.w_prev[None, None], x[None], float(d))[0, 0]
     if not np.isfinite(w_new).all():
         raise DivergenceError(state.n)
     return FilterState(w=w_new, w_prev=state.w, n=state.n + 1)

@@ -6,6 +6,10 @@ master seed and the trial index only, so every algorithm sees the identical
 realization of a given trial (paired comparisons), results do not depend on
 execution order or the number of workers, and reruns are bit-identical.
 
+Trials run in fixed-size chunks: one loop advances every algorithm on every
+trial of a chunk by one sample per iteration (see ``filters.Rules``), with
+arithmetic identical to a per-sample loop over ``filters.step``.
+
 The figure of merit is the trial-averaged normalized squared tap error in
 decibels,
 
@@ -30,14 +34,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (SparseChannel, TrainingSignal, generate_channel,
-                      generate_input, regressor)
-from .errors import DivergenceError, ParameterError
-from .filters import AlgorithmSpec, FilterState, step
+from .channel import (SparseChannel, TrainingSignal, delay_lines,
+                      generate_channel, generate_input)
+from .errors import ParameterError
+# step is not called here; it stays importable from this module because
+# benchmarks/layers.py patches simulation.step by name
+from .filters import AlgorithmSpec, Rules, step  # noqa: F401
 from .stable import AlphaStableParams, sample
 
 MSE_FLOOR_DB = -100.0
 _FLOOR_RATIO = 10.0 ** (MSE_FLOOR_DB / 10.0)
+
+# trials per unit of work: the kernel advances this many trials of every
+# algorithm at once, and the process pool hands out one chunk per job.  Small
+# chunks keep a worker's arrays in cache and its memory flat.
+_TRIAL_CHUNK = 16
 
 
 @dataclass
@@ -163,68 +174,91 @@ def run_trial(config, spec, trial_seed):
     Returns the per-iteration normalized squared error; on divergence the
     remaining entries are NaN and the result is flagged.
     """
-    realization = make_realization(config, trial_seed)
-    return _filter_trial(realization, spec, config.n_iterations)
+    nmse, diverged_at = _filter_block((spec,), [make_realization(config, trial_seed)],
+                                      config.n_iterations)
+    at = int(diverged_at[0, 0])
+    return TrialResult(nmse=nmse[0, 0], diverged=at >= 0,
+                       diverged_at=at if at >= 0 else None)
 
 
-def _filter_trial(realization, spec, n_iterations):
-    truth = realization.channel.taps
-    denom = float(truth @ truth)
-    noise = realization.noise
-    state = FilterState.zeros(realization.channel.n_taps)
-    nmse = np.full(n_iterations, np.nan)
+def _filter_block(specs, realizations, n_iterations):
+    """Run every algorithm over every realization, one sample per step.
+
+    Returns ``(nmse, diverged_at)`` with rows in ``specs`` order:
+    ``nmse[a, m]`` is the normalized squared-error trace of algorithm ``a``
+    on realization ``m``, NaN from the first non-finite update on, and
+    ``diverged_at[a, m]`` that update's index, or -1.
+    """
+    rules = Rules(specs)
+    truth = np.stack([r.channel.taps for r in realizations])
+    x = delay_lines(np.stack([r.signal.samples for r in realizations]), truth.shape[1])
+    d = np.vecdot(x, truth[:, None, :]) + np.stack([r.noise for r in realizations])
+    w = np.zeros((len(specs),) + truth.shape)
+    w_prev = np.zeros_like(w)
+    sq = np.empty((n_iterations,) + w.shape[:2])
+    diverged_at = np.full(w.shape[:2], -1)
+    # overflow is the anticipated divergence mode of the gradient family;
+    # diverged rows run on harmlessly and their traces are blanked below
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_iterations):
-            x = regressor(realization.signal, n, realization.channel.n_taps)
-            d = float(truth @ x) + noise[n]
-            try:
-                state = step(spec, state, x, d)
-            except DivergenceError as exc:
-                return TrialResult(nmse=nmse, diverged=True, diverged_at=exc.iteration)
-            diff = state.w - truth
-            nmse[n] = float(diff @ diff) / denom
-    return TrialResult(nmse=nmse, diverged=False)
+            w, w_prev = rules.advance(w, w_prev, x[:, n], d[:, n]), w
+            diff = w - truth
+            np.vecdot(diff, diff, out=sq[n])
+            # a non-finite coefficient makes its row's squared error
+            # non-finite; only then are the coefficients themselves checked
+            if not np.isfinite(sq[n]).all():
+                diverged_at[(diverged_at < 0) & ~np.isfinite(w).all(axis=-1)] = n
+    sq /= np.vecdot(truth, truth)
+    inverse = np.argsort(rules.order)
+    nmse, diverged_at = np.moveaxis(sq, 0, -1)[inverse], diverged_at[inverse]
+    for a, m in zip(*np.nonzero(diverged_at >= 0)):
+        nmse[a, m, diverged_at[a, m]:] = np.nan
+    return nmse, diverged_at
 
 
 def _trial_worker(args):
-    config, trial_index = args
-    realization = make_realization(config, derive_trial_seed(config.master_seed, trial_index))
-    return trial_index, [_filter_trial(realization, spec, config.n_iterations)
-                         for spec in config.algorithms]
+    """The pool's unit of work: trials ``start`` to ``stop`` of every
+    algorithm; returns ``(start, nmse, diverged_at)`` of that chunk."""
+    config, start, stop = args
+    realizations = [make_realization(config, derive_trial_seed(config.master_seed, m))
+                    for m in range(start, stop)]
+    return (start,) + _filter_block(config.algorithms, realizations, config.n_iterations)
 
 
 def run_experiment(config, workers=1):
     """Run all algorithms over all trials and average the learning curves.
 
-    Trials may run in parallel (``workers`` > 1); aggregation is in fixed
-    trial order, so the result is identical for any worker count.
+    Chunks of trials may run in parallel (``workers`` > 1); aggregation is
+    in fixed trial order, so the result is identical for any worker count.
     """
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     names = [spec.name for spec in config.algorithms]
     m_trials = config.n_trials
-    store = {name: np.zeros((m_trials, config.n_iterations)) for name in names}
-    completed = {name: np.zeros(m_trials, dtype=bool) for name in names}
+    store = np.zeros((len(names), m_trials, config.n_iterations))
+    completed = np.zeros((len(names), m_trials), dtype=bool)
 
-    jobs = [(config, m) for m in range(m_trials)]
+    jobs = [(config, start, min(start + _TRIAL_CHUNK, m_trials))
+            for start in range(0, m_trials, _TRIAL_CHUNK)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_worker, jobs))
     else:
         results = [_trial_worker(job) for job in jobs]
 
-    for trial_index, trial_results in results:
-        for name, res in zip(names, trial_results):
-            if not res.diverged:
-                store[name][trial_index] = res.nmse
-                completed[name][trial_index] = True
+    for start, nmse, diverged_at in results:
+        stop = start + nmse.shape[1]
+        store[:, start:stop] = nmse
+        completed[:, start:stop] = diverged_at < 0
 
     curves = []
-    for name in names:
-        mask = completed[name]
+    for a, name in enumerate(names):
+        mask = completed[a]
         n_ok = int(mask.sum())
         if n_ok == 0:
             curve = np.full(config.n_iterations, np.nan)
         else:
-            mean_nmse = store[name][mask].mean(axis=0)
+            mean_nmse = store[a][mask].mean(axis=0)
             curve = 10.0 * np.log10(np.maximum(mean_nmse, _FLOOR_RATIO))
         curves.append(LearningCurve(algorithm=name, mse_db=curve,
                                     trials_completed=n_ok,

@@ -39,10 +39,10 @@ class AlphaStableParams:
     beta : float
         Symmetry parameter, in [-1, 1].  0 means symmetric noise.
     gamma : float
-        Dispersion, > 0.  Plays the role the variance plays for Gaussians;
+        Dispersion, finite and > 0.  Plays the role the variance plays for Gaussians;
         at alpha = 2 the variance is exactly 2*gamma.
     delta : float
-        Location (a pure shift).
+        Location (a pure shift), finite.
     """
 
     alpha: float
@@ -55,8 +55,8 @@ class AlphaStableParams:
             raise ParameterError(f"alpha must be in (0, 2], got {self.alpha}")
         if not (-1.0 <= self.beta <= 1.0):
             raise ParameterError(f"beta must be in [-1, 1], got {self.beta}")
-        if not (self.gamma > 0.0):
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
+        if not (np.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ParameterError(f"gamma must be finite and positive, got {self.gamma}")
         if not np.isfinite(self.delta):
             raise ParameterError(f"delta must be finite, got {self.delta}")
 

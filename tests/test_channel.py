@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sparselms import (ParameterError, SparseChannel, TrainingSignal,
                        generate_channel, generate_input, regressor)
+from sparselms.channel import delay_lines
 
 
 class TestGenerateChannel:
@@ -83,6 +84,16 @@ class TestRegressor:
     def test_identity_case(self):
         sig = TrainingSignal(samples=np.array([5.0]), power=1.0)
         assert np.array_equal(regressor(sig, 0, 1), [5.0])
+
+    @pytest.mark.parametrize("length,n_taps", [(1, 4), (5, 4), (40, 16)])
+    def test_delay_lines_rows_are_regressors(self, length, n_taps):
+        samples = np.random.default_rng(length).standard_normal((3, length))
+        lines = delay_lines(samples, n_taps)
+        assert lines.shape == (3, length, n_taps)
+        assert lines.strides[-1] == samples.itemsize
+        for m in range(3):
+            for n in range(length):
+                assert np.array_equal(lines[m, n], regressor(samples[m], n, n_taps))
 
     @pytest.mark.parametrize("n", [-1, 3, 10])
     def test_out_of_range(self, n):

@@ -194,6 +194,31 @@ class TestCmdRun:
                          "--algorithms", "slms-l0"])
         assert code == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, mini_path, tmp_path, capsys, workers):
+        out = tmp_path / "r.csv"
+        code = cli.main(["run", "--config", mini_path, "--out", str(out),
+                         "--workers", workers])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_lambda_exits_2_naming_the_key(self, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text("[run]\niterations = 20\ntrials = 1\n\n"
+                        "[algorithm.slms-za]\nlambda = nan\n")
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'lambda'" in err and "[algorithm.slms-za]" in err
+
+    def test_non_finite_gamma_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text("[noise]\ngamma = inf\n\n[algorithm.slms]\n")
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "gamma" in capsys.readouterr().err
+
     def test_unwritable_out_exits_4(self, mini_path, tmp_path):
         code = cli.main(["run", "--config", mini_path,
                          "--out", str(tmp_path / "no" / "dir" / "r.csv")])

@@ -303,6 +303,13 @@ class TestAlgorithmSpec:
         with pytest.raises(ParameterError):
             AlgorithmSpec(**kwargs)
 
+    @pytest.mark.parametrize("field", ["mu", "rho_za", "rho_rza", "eps_rza", "rho_rl1",
+                                       "delta_rl1", "rho_lp", "eps_lp"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_hyperparameter_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            AlgorithmSpec(**{field: value})
+
     def test_defaults_match_reference_parameterization(self):
         spec = AlgorithmSpec()
         assert spec.mu == 0.005

@@ -1,0 +1,174 @@
+"""Differential tests of the block kernel against a plain per-sample loop.
+
+The kernel advances every algorithm and a chunk of trials per time step;
+the reference below runs one algorithm on one trial with ``regressor`` and
+``step``, one sample at a time.  Results must agree bit for bit
+(``np.array_equal``), not within a tolerance: the curves of gradient rows
+turn a 1-ulp difference into large errors.
+"""
+
+import numpy as np
+import pytest
+
+from sparselms import (AlgorithmSpec, AlphaStableParams, DivergenceError,
+                       FilterState, SimConfig, derive_trial_seed,
+                       make_realization, regressor, run_experiment, step)
+from sparselms.filters import Rules
+from sparselms.simulation import _TRIAL_CHUNK, _filter_block
+
+ALL_NAMES = ("lms", "slms", "lms-za", "slms-za", "lms-rza", "slms-rza",
+             "lms-rl1", "slms-rl1", "lms-lp", "slms-lp")
+
+
+def loop_trial(spec, realization, n_iterations):
+    """(nmse, diverged_at) of one algorithm on one realization, per sample."""
+    truth = realization.channel.taps
+    denom = float(truth @ truth)
+    state = FilterState.zeros(truth.size)
+    nmse = np.full(n_iterations, np.nan)
+    # a diverging filter may overflow the squared error before any
+    # coefficient is non-finite
+    with np.errstate(over="ignore"):
+        for n in range(n_iterations):
+            x = regressor(realization.signal, n, truth.size)
+            d = float(truth @ x) + realization.noise[n]
+            try:
+                state = step(spec, state, x, d)
+            except DivergenceError as exc:
+                return nmse, exc.iteration
+            diff = state.w - truth
+            nmse[n] = float(diff @ diff) / denom
+    return nmse, -1
+
+
+def step_0_1_0(spec, w, w_prev, x, d):
+    """w(n+1) as sparselms 0.1.0 computed it: the arithmetic to keep."""
+    e = float(d) - float(w @ x)
+    g = spec.mu * np.sign(e) * x if spec.family == "sign" else spec.mu * e * x
+    s = np.sign(w)
+    if spec.penalty == "none":
+        att = np.zeros_like(w)
+    elif spec.penalty == "za":
+        att = spec.rho_za * s
+    elif spec.penalty == "rza":
+        att = spec.rho_rza * s / (1.0 + spec.eps_rza * np.abs(w))
+    elif spec.penalty == "rl1":
+        att = spec.rho_rl1 * s / (spec.delta_rl1 + np.abs(w_prev))
+    else:
+        q = 1.0 - spec.p
+        norm_p = np.sum(np.abs(w) ** spec.p) ** (1.0 / spec.p)
+        att = spec.rho_lp * norm_p**q * s / (spec.eps_lp + np.abs(w) ** q)
+    return w + g - att
+
+
+def assert_block_matches_loop(config, specs, trials):
+    realizations = [make_realization(config, derive_trial_seed(config.master_seed, m))
+                    for m in trials]
+    nmse, diverged_at = _filter_block(specs, realizations, config.n_iterations)
+    assert nmse.shape == (len(specs), len(trials), config.n_iterations)
+    for a, spec in enumerate(specs):
+        for m, real in enumerate(realizations):
+            expected, at = loop_trial(spec, real, config.n_iterations)
+            assert diverged_at[a, m] == at, (spec.name, m)
+            assert np.array_equal(nmse[a, m], expected, equal_nan=True), (spec.name, m)
+    return diverged_at
+
+
+def _config(**overrides):
+    kwargs = dict(n_taps=16, sparsity=4, n_iterations=400, n_trials=3, snr_db=10.0,
+                  noise=AlphaStableParams(1.2),
+                  algorithms=(AlgorithmSpec.from_name("slms"),), master_seed=7)
+    kwargs.update(overrides)
+    return SimConfig(**kwargs)
+
+
+# p = 0.3 takes numpy's general power loops, where p = 0.5 takes sqrt/square
+@pytest.mark.parametrize("spec", [AlgorithmSpec.from_name(n) for n in ALL_NAMES]
+                         + [AlgorithmSpec.from_name(n, p=0.3) for n in ("lms-lp", "slms-lp")],
+                         ids=list(ALL_NAMES) + ["lms-lp-p0.3", "slms-lp-p0.3"])
+def test_step_keeps_0_1_0_arithmetic(spec):
+    config = _config(n_taps=128, sparsity=8, n_iterations=1500)
+    real = make_realization(config, derive_trial_seed(config.master_seed, 0))
+    truth = real.channel.taps
+    state = FilterState.zeros(128)
+    for n in range(config.n_iterations):
+        x = regressor(real.signal, n, 128)
+        d = float(truth @ x) + real.noise[n]
+        expected = step_0_1_0(spec, state.w, state.w_prev, x, d)
+        state = step(spec, state, x, d)
+        assert np.array_equal(state.w, expected), n
+
+
+def test_all_algorithms_in_one_block():
+    specs = tuple(AlgorithmSpec.from_name(n) for n in ALL_NAMES)
+    assert_block_matches_loop(_config(), specs, range(3))
+
+
+def test_reference_size_trial():
+    # the template's N = 128 and T = 3000, where lms-rza, lms-lp and slms-lp
+    # amplify any rounding difference within a few hundred steps
+    specs = tuple(AlgorithmSpec.from_name(n) for n in ("lms-rza", "lms-lp", "slms-lp"))
+    assert_block_matches_loop(_config(n_taps=128, sparsity=8, n_iterations=3000),
+                              specs, [0])
+
+
+def test_same_penalty_with_different_hyperparameters():
+    specs = (AlgorithmSpec.from_name("slms-rza", eps_rza=20.0),
+             AlgorithmSpec.from_name("lms-lp", p=0.3, eps_lp=0.1),
+             AlgorithmSpec.from_name("lms-rza", eps_rza=5.0),
+             AlgorithmSpec.from_name("lms-rza", eps_rza=20.0),
+             AlgorithmSpec.from_name("slms-lp"))
+    rules = Rules(specs)
+    assert rules.order == (0, 3, 1, 2, 4)
+    assert [(spec.penalty, rows) for spec, rows in rules.groups] == [
+        ("rza", slice(0, 2)), ("lp", slice(2, 3)), ("rza", slice(3, 4)), ("lp", slice(4, 5))]
+    assert_block_matches_loop(_config(), specs, range(3))
+
+
+def test_divergence_index_and_nan_tail():
+    # mu = 50 blows up every trial; mu = 0.8 only some of them, late
+    specs = (AlgorithmSpec(family="gradient", mu=50.0),
+             AlgorithmSpec(family="gradient", penalty="lp", mu=0.8),
+             AlgorithmSpec(family="sign", penalty="lp", mu=0.8))
+    config = _config(n_taps=32, noise=AlphaStableParams(1.0), snr_db=0.0, n_iterations=600)
+    diverged_at = assert_block_matches_loop(config, specs, range(8))
+    assert np.all(diverged_at[0] >= 0)
+    assert 0 < np.sum(diverged_at[1] >= 0) < 8
+    assert np.all(diverged_at[2] == -1)
+
+
+def test_noiseless_run():
+    # with z = 0 the error decays towards 0, where a 1-ulp change in w.x
+    # would flip sgn(e)
+    specs = tuple(AlgorithmSpec.from_name(n) for n in ALL_NAMES)
+    assert_block_matches_loop(_config(noise=None, n_iterations=800), specs, range(2))
+
+
+@pytest.fixture(scope="module")
+def chunked():
+    """A config of more trials than one chunk, not a multiple of the chunk
+    size, and its curves from the per-sample loop."""
+    specs = (AlgorithmSpec.from_name("slms-za"), AlgorithmSpec.from_name("lms-rl1"),
+             AlgorithmSpec(family="gradient", penalty="za", mu=0.8))
+    config = _config(n_taps=32, noise=AlphaStableParams(1.0), snr_db=0.0,
+                     n_iterations=600, n_trials=_TRIAL_CHUNK + 3, algorithms=specs)
+    realizations = [make_realization(config, derive_trial_seed(config.master_seed, m))
+                    for m in range(config.n_trials)]
+    expected = []
+    for spec in specs:
+        runs = [loop_trial(spec, real, config.n_iterations) for real in realizations]
+        kept = np.array([nmse for nmse, at in runs if at < 0])
+        curve = 10.0 * np.log10(np.maximum(kept.mean(axis=0), 1e-10))
+        expected.append((spec.name, curve, config.n_trials - len(kept)))
+    return config, expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunked_experiment_matches_loop(chunked, workers):
+    config, expected = chunked
+    curves = run_experiment(config, workers=workers)
+    for curve, (name, mse_db, trials_diverged) in zip(curves, expected):
+        assert curve.algorithm == name
+        assert curve.trials_diverged == trials_diverged
+        assert np.array_equal(curve.mse_db, mse_db)
+    assert 0 < curves[2].trials_diverged < config.n_trials

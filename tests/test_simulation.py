@@ -212,6 +212,11 @@ class TestRunExperiment:
             assert (cs.trials_completed, cs.trials_diverged) == \
                    (cp.trials_completed, cp.trials_diverged)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, small_config, workers):
+        with pytest.raises(ParameterError, match="workers"):
+            run_experiment(small_config(), workers=workers)
+
     def test_monotone_sanity_noiseless(self, small_config):
         # every algorithm must end below its first-iteration MSE with z = 0
         config = small_config(noise=None, n_trials=2, n_iterations=600,

@@ -85,6 +85,13 @@ def test_invalid_params_rejected(kwargs):
         AlphaStableParams(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["gamma", "delta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_scale_and_location_rejected(field, value):
+    with pytest.raises(ParameterError, match=field):
+        AlphaStableParams(alpha=1.5, **{field: value})
+
+
 class TestSampler:
     def test_determinism(self):
         params = AlphaStableParams(1.2)
