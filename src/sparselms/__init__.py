@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .channel import (SparseChannel, TrainingSignal, generate_channel,
                       generate_input, regressor)
 from .errors import DivergenceError, ParameterError
-from .filters import (AlgorithmSpec, FilterState, attractor, error,
-                      penalty_value, predict, sign, step)
+from .filters import (AlgorithmSpec, FilterState, attractor, penalty_value,
+                      step)
 from .simulation import (LearningCurve, Realization, SimConfig, TrialResult,
                          apply_snr, derive_trial_seed, make_realization,
                          mse_db, run_experiment, run_trial)
@@ -35,17 +35,14 @@ __all__ = [
     "attractor",
     "characteristic_function",
     "derive_trial_seed",
-    "error",
     "generate_channel",
     "generate_input",
     "make_realization",
     "mse_db",
     "penalty_value",
-    "predict",
     "regressor",
     "run_experiment",
     "run_trial",
     "sample",
-    "sign",
     "step",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ParameterError
-from .filters import AlgorithmSpec
+from .filters import FAMILIES, PENALTY_PARAMS, AlgorithmSpec
 from .simulation import SimConfig, run_experiment
 from .stable import AlphaStableParams, characteristic_function, sample
 
@@ -40,73 +40,6 @@ CSV_HEADER = "algorithm,iteration,mse_db,trials_diverged"
 # agreement grid and tolerance for validate-noise
 CF_GRID = (0.1, 0.5, 1.0, 2.0)
 CF_TOLERANCE = 0.02
-
-TEMPLATE = """\
-# sparselms experiment configuration (reference parameterization)
-
-[channel]
-n_taps = 128
-sparsity = 8
-
-[noise]
-alpha = 1.2
-beta = 0.0
-gamma = 1.0
-delta = 0.0
-
-[run]
-iterations = 3000
-trials = 100
-snr_db = 10.0
-seed = 1
-input = gaussian
-
-[algorithm.lms]
-mu = 0.005
-
-[algorithm.slms]
-mu = 0.005
-
-[algorithm.lms-za]
-mu = 0.005
-lambda = 2e-4
-
-[algorithm.slms-za]
-mu = 0.005
-lambda = 2e-4
-
-[algorithm.lms-rza]
-mu = 0.005
-lambda = 2e-3
-eps = 20.0
-
-[algorithm.slms-rza]
-mu = 0.005
-lambda = 2e-3
-eps = 20.0
-
-[algorithm.lms-rl1]
-mu = 0.005
-lambda = 5e-5
-delta = 0.05
-
-[algorithm.slms-rl1]
-mu = 0.005
-lambda = 5e-5
-delta = 0.05
-
-[algorithm.lms-lp]
-mu = 0.005
-lambda = 5e-6
-eps = 0.05
-p = 0.5
-
-[algorithm.slms-lp]
-mu = 0.005
-lambda = 5e-6
-eps = 0.05
-p = 0.5
-"""
 
 
 class ConfigError(Exception):
@@ -139,15 +72,54 @@ class RunManifest:
             fh.write("\n".join(lines) + "\n")
 
 
-# config key -> AlgorithmSpec field, per penalty
-_COMMON_KEYS = {"mu": "mu"}
-_PENALTY_KEYS = {
-    "none": {},
-    "za": {"lambda": "rho_za"},
-    "rza": {"lambda": "rho_rza", "eps": "eps_rza"},
-    "rl1": {"lambda": "rho_rl1", "delta": "delta_rl1"},
-    "lp": {"lambda": "rho_lp", "eps": "eps_lp", "p": "p"},
-}
+# AlgorithmSpec field -> config key, where they differ (lambda is a Python
+# keyword)
+_CONFIG_KEYS = {"rho": "lambda"}
+_SPEC_FIELDS = {key: field for field, key in _CONFIG_KEYS.items()}
+
+
+def _algorithm_items(spec):
+    """(config key, value) of the step size and the penalty's hyperparameters."""
+    return [(_CONFIG_KEYS.get(field, field), getattr(spec, field))
+            for field in ("mu", *PENALTY_PARAMS[spec.penalty])]
+
+
+_TEMPLATE_HEAD = """\
+# sparselms experiment configuration (reference parameterization)
+
+[channel]
+n_taps = 128
+sparsity = 8
+
+[noise]
+alpha = 1.2
+beta = 0.0
+gamma = 1.0
+delta = 0.0
+
+[run]
+iterations = 3000
+trials = 100
+snr_db = 10.0
+seed = 1
+input = gaussian
+"""
+
+
+def _template():
+    """The reference parameterization: every algorithm at its defaults."""
+    sections = [_TEMPLATE_HEAD]
+    for penalty in PENALTY_PARAMS:
+        for family in FAMILIES:
+            spec = AlgorithmSpec(family=family, penalty=penalty)
+            lines = [f"[algorithm.{spec.name}]"]
+            lines.extend(f"{key} = {value!r}" for key, value in _algorithm_items(spec))
+            sections.append("\n".join(lines) + "\n")
+    return "\n".join(sections)
+
+
+TEMPLATE = _template()
+
 
 _CHANNEL_KEYS = {"n_taps", "sparsity"}
 _NOISE_KEYS = {"alpha", "beta", "gamma", "delta"}
@@ -220,14 +192,12 @@ def parse_config(path):
             spec = AlgorithmSpec.from_name(alg_name)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
-        keymap = dict(_COMMON_KEYS)
-        keymap.update(_PENALTY_KEYS[spec.penalty])
         sec = parser[section_name]
-        _check_keys(section_name, sec, keymap)
+        _check_keys(section_name, sec, dict(_algorithm_items(spec)))
         # one key at a time, so that a rejected value is named by its key
         for key in sec:
             try:
-                spec = spec.with_overrides(**{keymap[key]: _get(sec, key, float, None)})
+                spec = replace(spec, **{_SPEC_FIELDS.get(key, key): _get(sec, key, float, None)})
             except ParameterError as exc:
                 raise ConfigError(f"bad value for {key!r} in [{section_name}]: {exc}") from exc
         algorithms.append(spec)
@@ -276,10 +246,8 @@ def _flatten_config(config):
         for key in ("alpha", "beta", "gamma", "delta"):
             lines.append(f"noise.{key} = {getattr(config.noise, key)!r}")
     for spec in config.algorithms:
-        prefix = f"algorithm.{spec.name}"
-        lines.append(f"{prefix}.mu = {spec.mu!r}")
-        for field_name in _PENALTY_KEYS[spec.penalty].values():
-            lines.append(f"{prefix}.{field_name} = {getattr(spec, field_name)!r}")
+        lines.extend(f"algorithm.{spec.name}.{key} = {value!r}"
+                     for key, value in _algorithm_items(spec))
     return lines
 
 

@@ -43,59 +43,62 @@ import numpy as np
 from .errors import DivergenceError, ParameterError
 
 FAMILIES = ("gradient", "sign")
-PENALTIES = ("none", "za", "rza", "rl1", "lp")
 
 # family prefix on the wire
 _FAMILY_NAMES = {"gradient": "lms", "sign": "slms"}
 _NAME_FAMILIES = {v: k for k, v in _FAMILY_NAMES.items()}
 
-# default hyperparameters; the attractor coefficients equal the
-# regularization weights of the reference configuration
+# the hyperparameters of each penalty and their defaults; the attractor
+# coefficients equal the regularization weights of the reference
+# configuration.  The keys are AlgorithmSpec fields and, but for rho
+# (``lambda`` in a config file), the config keys.
+PENALTY_PARAMS = {
+    "none": {},
+    "za": {"rho": 2e-4},
+    "rza": {"rho": 2e-3, "eps": 20.0},
+    "rl1": {"rho": 5e-5, "delta": 0.05},
+    "lp": {"rho": 5e-6, "eps": 0.05, "p": 0.5},
+}
+PENALTIES = tuple(PENALTY_PARAMS)
 DEFAULT_MU = 0.005
-DEFAULT_RHO_ZA = 2e-4
-DEFAULT_RHO_RZA = 2e-3
-DEFAULT_EPS_RZA = 20.0
-DEFAULT_RHO_RL1 = 5e-5
-DEFAULT_DELTA_RL1 = 0.05
-DEFAULT_RHO_LP = 5e-6
-DEFAULT_EPS_LP = 0.05
-DEFAULT_P = 0.5
 
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """Which update rule to run, plus its hyperparameters.
 
-    Only the parameters of the selected penalty matter; the others are
-    ignored by :func:`step` but still validated.
+    A hyperparameter left as None takes its penalty's default from
+    :data:`PENALTY_PARAMS`; one the penalty does not use stays None, and
+    setting it raises :class:`ParameterError`.
     """
 
     family: str = "sign"
     penalty: str = "none"
     mu: float = DEFAULT_MU
-    rho_za: float = DEFAULT_RHO_ZA
-    rho_rza: float = DEFAULT_RHO_RZA
-    eps_rza: float = DEFAULT_EPS_RZA
-    rho_rl1: float = DEFAULT_RHO_RL1
-    delta_rl1: float = DEFAULT_DELTA_RL1
-    rho_lp: float = DEFAULT_RHO_LP
-    eps_lp: float = DEFAULT_EPS_LP
-    p: float = DEFAULT_P
+    rho: float | None = None
+    eps: float | None = None
+    delta: float | None = None
+    p: float | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ParameterError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.penalty not in PENALTIES:
             raise ParameterError(f"penalty must be one of {PENALTIES}, got {self.penalty!r}")
-        for attr in ("mu", "eps_rza", "delta_rl1", "eps_lp"):
+        defaults = PENALTY_PARAMS[self.penalty]
+        for attr in ("rho", "eps", "delta", "p"):
+            if getattr(self, attr) is None:
+                object.__setattr__(self, attr, defaults.get(attr))
+            elif attr not in defaults:
+                raise ParameterError(
+                    f"{attr} is not a parameter of the {self.penalty!r} penalty")
+        for attr in ("mu", "eps", "delta"):
             value = getattr(self, attr)
-            if not (math.isfinite(value) and value > 0):
+            if value is not None and not (math.isfinite(value) and value > 0):
                 raise ParameterError(f"{attr} must be finite and positive, got {value}")
-        for attr in ("rho_za", "rho_rza", "rho_rl1", "rho_lp"):
-            value = getattr(self, attr)
-            if not (math.isfinite(value) and value >= 0):
-                raise ParameterError(f"{attr} must be finite and >= 0, got {value}")
-        if not (0.0 < self.p < 1.0):
+        if self.rho is not None and not (math.isfinite(self.rho) and self.rho >= 0):
+            raise ParameterError(f"rho must be finite and >= 0, got {self.rho}")
+        if self.p is not None and not (0.0 < self.p < 1.0):
             raise ParameterError(f"p must be in (0, 1), got {self.p}")
 
     @property
@@ -112,9 +115,6 @@ class AlgorithmSpec:
             raise ParameterError(f"unknown algorithm name {name!r}")
         return cls(family=_NAME_FAMILIES[base], penalty=penalty or "none", **overrides)
 
-    def with_overrides(self, **kwargs):
-        return replace(self, **kwargs)
-
 
 @dataclass
 class FilterState:
@@ -129,24 +129,6 @@ class FilterState:
         return cls(w=np.zeros(n_taps), w_prev=np.zeros(n_taps), n=0)
 
 
-def sign(v):
-    """Elementwise sign with sgn(0) = 0."""
-    return np.sign(v)
-
-
-def predict(state, x):
-    """Filter output w(n)^T x(n)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != state.w.shape:
-        raise ParameterError(f"regressor shape {x.shape} does not match taps {state.w.shape}")
-    return float(state.w @ x)
-
-
-def error(desired, state, x):
-    """Instantaneous estimation error d(n) - w(n)^T x(n)."""
-    return float(desired) - predict(state, x)
-
-
 def attractor(spec, w, w_prev=None):
     """The zero-attraction term subtracted by the update, along the last axis.
 
@@ -158,13 +140,13 @@ def attractor(spec, w, w_prev=None):
         return np.zeros_like(w)
     s = np.sign(w)
     if spec.penalty == "za":
-        return spec.rho_za * s
+        return spec.rho * s
     if spec.penalty == "rza":
-        return spec.rho_rza * s / (1.0 + spec.eps_rza * np.abs(w))
+        return spec.rho * s / (1.0 + spec.eps * np.abs(w))
     if spec.penalty == "rl1":
         if w_prev is None:
             w_prev = np.zeros_like(w)
-        return spec.rho_rl1 * s / (spec.delta_rl1 + np.abs(w_prev))
+        return spec.rho * s / (spec.delta + np.abs(w_prev))
     # lp; the norm factor is 0 for w = 0, so zero stays a fixed point.  The
     # factor takes numpy's scalar (libm) pow row by row, as the one-vector
     # rule of sparselms 0.1.0 did: numpy's array power loops round
@@ -172,8 +154,8 @@ def attractor(spec, w, w_prev=None):
     q = 1.0 - spec.p
     a = np.abs(w)
     sums = (a ** spec.p).sum(axis=-1, keepdims=True)
-    factor = np.array([spec.rho_lp * (t ** (1.0 / spec.p)) ** q for t in sums.flat])
-    return factor.reshape(sums.shape) * s / (spec.eps_lp + a ** q)
+    factor = np.array([spec.rho * (t ** (1.0 / spec.p)) ** q for t in sums.flat])
+    return factor.reshape(sums.shape) * s / (spec.eps + a ** q)
 
 
 class Rules:
@@ -259,10 +241,10 @@ def penalty_value(spec, w, w_prev=None):
     if spec.penalty == "za":
         return float(np.sum(np.abs(w)))
     if spec.penalty == "rza":
-        return float(np.sum(np.log1p(spec.eps_rza * np.abs(w))))
+        return float(np.sum(np.log1p(spec.eps * np.abs(w))))
     if spec.penalty == "rl1":
         if w_prev is None:
             w_prev = np.zeros_like(w)
-        f = 1.0 / (spec.delta_rl1 + np.abs(np.asarray(w_prev, dtype=float)))
+        f = 1.0 / (spec.delta + np.abs(np.asarray(w_prev, dtype=float)))
         return float(np.sum(np.abs(f * w)))
     return float(np.sum(np.abs(w) ** spec.p) ** (1.0 / spec.p))

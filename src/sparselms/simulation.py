@@ -28,6 +28,7 @@ dispersion-ratio sense for alpha < 2, where the variance is infinite) while
 keeping the filters in their stable operating range.
 """
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +45,12 @@ from .stable import AlphaStableParams, sample
 
 MSE_FLOOR_DB = -100.0
 _FLOOR_RATIO = 10.0 ** (MSE_FLOOR_DB / 10.0)
+
+
+def _to_db(mean_nmse):
+    """A mean normalized squared error in dB, floored at MSE_FLOOR_DB."""
+    return 10.0 * np.log10(np.maximum(mean_nmse, _FLOOR_RATIO))
+
 
 # trials per unit of work: the kernel advances this many trials of every
 # algorithm at once, and the process pool hands out one chunk per job.  Small
@@ -93,6 +100,7 @@ class SimConfig:
             raise ParameterError(f"duplicate algorithm names in {names}")
         if self.noise is not None and not isinstance(self.noise, AlphaStableParams):
             raise ParameterError("noise must be AlphaStableParams or None")
+        apply_snr(self)  # rejects an snr_db that scales the noise out of range
 
 
 @dataclass
@@ -140,13 +148,23 @@ def apply_snr(config):
     Returns ``(signal_power, effective_noise)``: the training-signal power
     matched to the nominal noise scale, and the noise parameters with their
     dispersion divided by 10**(snr_db/10).  With ``noise = None`` the hook
-    returns unit power and no noise.
+    returns unit power and no noise.  Raises :class:`ParameterError`
+    naming ``snr_db`` if the scaled dispersion is not finite and positive.
     """
     if config.noise is None:
         return 1.0, None
     noise = config.noise
     power = 2.0 * noise.gamma if noise.alpha == 2.0 else noise.gamma
-    return power, noise.scaled(10.0 ** (-config.snr_db / 10.0))
+    try:
+        factor = 10.0 ** (-config.snr_db / 10.0)
+    except OverflowError:
+        factor = math.inf
+    gamma = noise.gamma * factor
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ParameterError(
+            f"snr_db = {config.snr_db} scales the noise dispersion gamma = {noise.gamma} "
+            f"to {gamma}; it must stay finite and positive")
+    return power, noise.scaled(factor)
 
 
 def make_realization(config, trial_seed):
@@ -218,11 +236,11 @@ def _filter_block(specs, realizations, n_iterations):
 
 def _trial_worker(args):
     """The pool's unit of work: trials ``start`` to ``stop`` of every
-    algorithm; returns ``(start, nmse, diverged_at)`` of that chunk."""
+    algorithm; returns ``(nmse, diverged_at)`` of that chunk."""
     config, start, stop = args
     realizations = [make_realization(config, derive_trial_seed(config.master_seed, m))
                     for m in range(start, stop)]
-    return (start,) + _filter_block(config.algorithms, realizations, config.n_iterations)
+    return _filter_block(config.algorithms, realizations, config.n_iterations)
 
 
 def run_experiment(config, workers=1):
@@ -234,35 +252,33 @@ def run_experiment(config, workers=1):
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     names = [spec.name for spec in config.algorithms]
-    m_trials = config.n_trials
-    store = np.zeros((len(names), m_trials, config.n_iterations))
-    completed = np.zeros((len(names), m_trials), dtype=bool)
+    # running sums over the completed trials, added in trial order
+    sums = np.zeros((len(names), config.n_iterations))
+    completed = np.zeros(len(names), dtype=int)
 
-    jobs = [(config, start, min(start + _TRIAL_CHUNK, m_trials))
-            for start in range(0, m_trials, _TRIAL_CHUNK)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_worker, jobs))
-    else:
-        results = [_trial_worker(job) for job in jobs]
-
-    for start, nmse, diverged_at in results:
-        stop = start + nmse.shape[1]
-        store[:, start:stop] = nmse
-        completed[:, start:stop] = diverged_at < 0
+    jobs = [(config, start, min(start + _TRIAL_CHUNK, config.n_trials))
+            for start in range(0, config.n_trials, _TRIAL_CHUNK)]
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_trial_worker, jobs)
+        else:
+            results = map(_trial_worker, jobs)
+        for nmse, diverged_at in results:
+            for a, m in zip(*np.nonzero(diverged_at < 0)):
+                sums[a] += nmse[a, m]
+                completed[a] += 1
 
     curves = []
     for a, name in enumerate(names):
-        mask = completed[a]
-        n_ok = int(mask.sum())
+        n_ok = int(completed[a])
         if n_ok == 0:
             curve = np.full(config.n_iterations, np.nan)
         else:
-            mean_nmse = store[a][mask].mean(axis=0)
-            curve = 10.0 * np.log10(np.maximum(mean_nmse, _FLOOR_RATIO))
+            curve = _to_db(sums[a] / n_ok)
         curves.append(LearningCurve(algorithm=name, mse_db=curve,
                                     trials_completed=n_ok,
-                                    trials_diverged=m_trials - n_ok))
+                                    trials_diverged=config.n_trials - n_ok))
     return curves
 
 
@@ -282,4 +298,4 @@ def mse_db(estimates, truth):
         ratios.append(float(diff @ diff) / denom)
     if not ratios:
         raise ParameterError("estimates must not be empty")
-    return 10.0 * math.log10(max(sum(ratios) / len(ratios), _FLOOR_RATIO))
+    return float(_to_db(sum(ratios) / len(ratios)))

@@ -150,10 +150,10 @@ def test_criterion_7_gradient_oracle_suite():
     rng = np.random.default_rng(77)
     eps_lp = 1e-8
     specs = {
-        "za": AlgorithmSpec(penalty="za", rho_za=3e-4),
-        "rza": AlgorithmSpec(penalty="rza", rho_rza=2e-3, eps_rza=20.0),
-        "rl1": AlgorithmSpec(penalty="rl1", rho_rl1=5e-5, delta_rl1=0.05),
-        "lp": AlgorithmSpec(penalty="lp", rho_lp=5e-6, eps_lp=eps_lp, p=0.5),
+        "za": AlgorithmSpec(penalty="za", rho=3e-4),
+        "rza": AlgorithmSpec(penalty="rza", rho=2e-3, eps=20.0),
+        "rl1": AlgorithmSpec(penalty="rl1", rho=5e-5, delta=0.05),
+        "lp": AlgorithmSpec(penalty="lp", rho=5e-6, eps=eps_lp, p=0.5),
     }
     worst = {name: 0.0 for name in specs}
 
@@ -173,24 +173,24 @@ def test_criterion_7_gradient_oracle_suite():
         spec = specs["za"]
         fd = central_diff(lambda v: penalty_value(spec, v), w)
         worst["za"] = max(worst["za"], float(np.max(
-            np.abs(attractor(spec, w) - spec.rho_za * fd) / np.abs(spec.rho_za * fd))))
+            np.abs(attractor(spec, w) - spec.rho * fd) / np.abs(spec.rho * fd))))
 
         spec = specs["rza"]
         fd = central_diff(lambda v: penalty_value(spec, v), w)
-        scaled = (spec.rho_rza / spec.eps_rza) * fd
+        scaled = (spec.rho / spec.eps) * fd
         worst["rza"] = max(worst["rza"], float(np.max(
             np.abs(attractor(spec, w) - scaled) / np.abs(scaled))))
 
         spec = specs["rl1"]
         fd = central_diff(lambda v: penalty_value(spec, v, w_prev), w)
-        scaled = spec.rho_rl1 * fd
+        scaled = spec.rho * fd
         worst["rl1"] = max(worst["rl1"], float(np.max(
             np.abs(attractor(spec, w, w_prev) - scaled) / np.abs(scaled))))
 
         spec = specs["lp"]
         q = 1.0 - spec.p
         norm_p = np.sum(np.abs(w) ** spec.p) ** (1.0 / spec.p)
-        analytic = spec.rho_lp * norm_p**q * np.sign(w) / np.abs(w) ** q
+        analytic = spec.rho * norm_p**q * np.sign(w) / np.abs(w) ** q
         rel = np.max(np.abs(attractor(spec, w) - analytic) / np.abs(analytic))
         worst["lp"] = max(worst["lp"], float(rel))
 
@@ -208,7 +208,7 @@ def test_criterion_8_single_step_oracles():
     out = step(spec, FilterState.zeros(2), np.array([1.0, -1.0]), 0.5)
     err_a = float(np.max(np.abs(out.w - np.array([0.1, -0.1]))))
 
-    spec = AlgorithmSpec(family="sign", penalty="za", mu=0.1, rho_za=0.01)
+    spec = AlgorithmSpec(family="sign", penalty="za", mu=0.1, rho=0.01)
     state = FilterState(w=np.array([0.2]), w_prev=np.zeros(1))
     out = step(spec, state, np.array([1.0]), 0.0)
     err_b = abs(float(out.w[0]) - 0.09)

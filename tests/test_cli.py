@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sparselms import cli
+from sparselms import AlgorithmSpec, cli
 from sparselms.cli import ConfigError, parse_config
 
 
@@ -54,21 +56,23 @@ class TestParseConfig:
         assert set(specs) == {"lms", "slms", "lms-za", "slms-za", "lms-rza",
                               "slms-rza", "lms-rl1", "slms-rl1", "lms-lp", "slms-lp"}
         assert all(s.mu == 0.005 for s in specs.values())
-        assert specs["slms-za"].rho_za == 2e-4
-        assert specs["slms-rza"].rho_rza == 2e-3
-        assert specs["slms-rza"].eps_rza == 20.0
-        assert specs["slms-rl1"].rho_rl1 == 5e-5
-        assert specs["slms-rl1"].delta_rl1 == 0.05
-        assert specs["slms-lp"].rho_lp == 5e-6
-        assert specs["slms-lp"].eps_lp == 0.05
+        assert specs["slms-za"].rho == 2e-4
+        assert specs["slms-rza"].rho == 2e-3
+        assert specs["slms-rza"].eps == 20.0
+        assert specs["slms-rl1"].rho == 5e-5
+        assert specs["slms-rl1"].delta == 0.05
+        assert specs["slms-lp"].rho == 5e-6
+        assert specs["slms-lp"].eps == 0.05
         assert specs["slms-lp"].p == 0.5
+        for name, spec in specs.items():
+            assert spec == AlgorithmSpec.from_name(name)
 
     def test_omitted_p_defaults(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[algorithm.slms-lp]\nlambda = 1e-5\n")
         config = parse_config(str(path))
         assert config.algorithms[0].p == 0.5
-        assert config.algorithms[0].rho_lp == 1e-5
+        assert config.algorithms[0].rho == 1e-5
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -93,6 +97,21 @@ class TestParseConfig:
         path.write_text("[algorithm.slms]\nlambda = 1e-4\n")
         with pytest.raises(ConfigError, match="lambda"):
             parse_config(str(path))
+
+    # every key of another penalty, in a section of each penalty
+    @pytest.mark.parametrize("name,key", [
+        ("lms", "lambda"), ("slms", "eps"), ("lms", "delta"), ("slms", "p"),
+        ("slms-za", "eps"), ("lms-za", "delta"), ("slms-za", "p"),
+        ("slms-rza", "delta"), ("lms-rza", "p"),
+        ("lms-rl1", "eps"), ("slms-rl1", "p"),
+        ("slms-lp", "delta"),
+    ])
+    def test_foreign_key_exits_2_naming_it(self, tmp_path, capsys, name, key):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[run]\niterations = 20\ntrials = 1\n\n[algorithm.{name}]\n{key} = 0.5\n")
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert f"unknown key {key!r} in section [algorithm.{name}]" in capsys.readouterr().err
 
     def test_zero_sparsity_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -134,7 +153,7 @@ class TestCmdRun:
         code = cli.main(["run", "--config", mini_path, "--out", out,
                          "--trials", "2", "--iterations", "10"])
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "algorithm,iteration,mse_db,trials_diverged"
         assert len(lines) == 1 + 2 * 10
 
@@ -144,7 +163,7 @@ class TestCmdRun:
                          "--trials", "2", "--iterations", "5",
                          "--algorithms", "slms-za,slms"])
         assert code == 0
-        names = [line.split(",")[0] for line in open(out).read().splitlines()[1:]]
+        names = [line.split(",")[0] for line in Path(out).read_text().splitlines()[1:]]
         assert names == ["slms"] * 5 + ["slms-za"] * 5
 
     def test_byte_identical_reruns(self, mini_path, tmp_path):
@@ -153,30 +172,45 @@ class TestCmdRun:
         for out in (out1, out2):
             argv[-1] = out
             assert cli.main(argv) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_worker_count_does_not_change_bytes(self, mini_path, tmp_path):
         out1, out2 = str(tmp_path / "w1.csv"), str(tmp_path / "w2.csv")
         assert cli.main(["run", "--config", mini_path, "--out", out1, "--workers", "1"]) == 0
         assert cli.main(["run", "--config", mini_path, "--out", out2, "--workers", "2"]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_seed_override_changes_output(self, mini_path, tmp_path):
         out1, out2 = str(tmp_path / "s1.csv"), str(tmp_path / "s2.csv")
         assert cli.main(["run", "--config", mini_path, "--out", out1]) == 0
         assert cli.main(["run", "--config", mini_path, "--out", out2, "--seed", "6"]) == 0
-        assert open(out1, "rb").read() != open(out2, "rb").read()
+        assert Path(out1).read_bytes() != Path(out2).read_bytes()
 
     def test_manifest_records_resolved_config(self, mini_path, tmp_path):
         out = str(tmp_path / "r.csv")
         assert cli.main(["run", "--config", mini_path, "--out", out,
                          "--trials", "2", "--seed", "9"]) == 0
-        manifest = open(out + ".manifest").read()
+        manifest = Path(out + ".manifest").read_text()
         assert "tool_version = " in manifest
         assert "trials = 2" in manifest
         assert "seed = 9" in manifest
-        assert "algorithm.slms-za.rho_za = 0.0002" in manifest
+        assert "algorithm.slms-za.lambda = 0.0002" in manifest
         assert "started_utc = " in manifest and "finished_utc = " in manifest
+
+    def test_manifest_lists_each_algorithms_keys(self, template_path, tmp_path):
+        out = str(tmp_path / "r.csv")
+        assert cli.main(["run", "--config", template_path, "--out", out,
+                         "--trials", "1", "--iterations", "5"]) == 0
+        keys = {}
+        for line in Path(out + ".manifest").read_text().splitlines():
+            if line.startswith("algorithm."):
+                name, key = line.split(" = ")[0].split(".")[1:]
+                keys.setdefault(name, []).append(key)
+        plain, za, rza, rl1, lp = (["mu"], ["mu", "lambda"], ["mu", "lambda", "eps"],
+                                   ["mu", "lambda", "delta"], ["mu", "lambda", "eps", "p"])
+        assert keys == {"lms": plain, "slms": plain, "lms-za": za, "slms-za": za,
+                        "lms-rza": rza, "slms-rza": rza, "lms-rl1": rl1, "slms-rl1": rl1,
+                        "lms-lp": lp, "slms-lp": lp}
 
     def test_missing_config_exits_2(self, tmp_path):
         code = cli.main(["run", "--config", str(tmp_path / "nope.ini"),
@@ -219,6 +253,18 @@ class TestCmdRun:
         assert code == 2
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise,snr_db", [
+        ("alpha = 1.2", "4000"), ("alpha = 1.2", "-4000"), ("gamma = 1e300", "-100")])
+    def test_snr_db_scaling_noise_out_of_range_exits_2(self, tmp_path, capsys, noise, snr_db):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[noise]\n{noise}\n\n[run]\niterations = 20\ntrials = 1\n"
+                        f"snr_db = {snr_db}\n\n[algorithm.slms]\n")
+        out = tmp_path / "r.csv"
+        code = cli.main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert "snr_db" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_exits_4(self, mini_path, tmp_path):
         code = cli.main(["run", "--config", mini_path,
                          "--out", str(tmp_path / "no" / "dir" / "r.csv")])
@@ -232,7 +278,7 @@ class TestCmdRun:
         out = str(tmp_path / "r.csv")
         code = cli.main(["run", "--config", str(path), "--out", out])
         assert code == 3
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 1 + 300
         assert lines[1].startswith("lms,1,nan,2")
 
@@ -273,4 +319,4 @@ class TestTemplate:
     def test_write_to_file(self, tmp_path):
         out = str(tmp_path / "t.ini")
         assert cli.main(["template", "--out", out]) == 0
-        assert open(out).read() == cli.TEMPLATE
+        assert Path(out).read_text() == cli.TEMPLATE

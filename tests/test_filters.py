@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sparselms import (AlgorithmSpec, DivergenceError, FilterState,
-                       ParameterError, attractor, error, penalty_value,
-                       predict, sign, step)
+                       ParameterError, attractor, penalty_value, step)
+from sparselms.filters import PENALTY_PARAMS, PENALTIES
 
 ALL_NAMES = ("lms", "slms", "lms-za", "slms-za", "lms-rza", "slms-rza",
              "lms-rl1", "slms-rl1", "lms-lp", "slms-lp")
@@ -31,59 +31,16 @@ def scalar_step_oracle(spec, w, w_prev, x, d):
         if spec.penalty == "none":
             att = 0.0
         elif spec.penalty == "za":
-            att = spec.rho_za * _sgn(w[i])
+            att = spec.rho * _sgn(w[i])
         elif spec.penalty == "rza":
-            att = spec.rho_rza * _sgn(w[i]) / (1.0 + spec.eps_rza * abs(w[i]))
+            att = spec.rho * _sgn(w[i]) / (1.0 + spec.eps * abs(w[i]))
         elif spec.penalty == "rl1":
-            att = spec.rho_rl1 * _sgn(w[i]) / (spec.delta_rl1 + abs(w_prev[i]))
+            att = spec.rho * _sgn(w[i]) / (spec.delta + abs(w_prev[i]))
         else:
-            att = (spec.rho_lp * norm_p ** (1.0 - spec.p) * _sgn(w[i])
-                   / (spec.eps_lp + abs(w[i]) ** (1.0 - spec.p)))
+            att = (spec.rho * norm_p ** (1.0 - spec.p) * _sgn(w[i])
+                   / (spec.eps + abs(w[i]) ** (1.0 - spec.p)))
         out.append(w[i] + ge * x[i] - att)
     return out
-
-
-class TestSign:
-    def test_examples(self):
-        assert np.array_equal(sign(np.array([3.2, 0.0, -0.5])), [1.0, 0.0, -1.0])
-        assert np.array_equal(sign(np.zeros(4)), np.zeros(4))
-        assert np.array_equal(sign(np.array([-1e-300])), [-1.0])
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
-    def test_range_and_oddness(self, values):
-        v = np.asarray(values)
-        s = sign(v)
-        assert set(np.unique(s)) <= {-1.0, 0.0, 1.0}
-        assert np.array_equal(sign(-v), -s)
-
-
-class TestPredictError:
-    def test_inner_product(self):
-        state = FilterState(w=np.array([1.0, 2.0]), w_prev=np.zeros(2))
-        assert predict(state, np.array([3.0, 4.0])) == 11.0
-
-    def test_zero_taps(self):
-        state = FilterState.zeros(3)
-        assert predict(state, np.array([1.0, -2.0, 5.0])) == 0.0
-
-    def test_scalar_case(self):
-        state = FilterState(w=np.array([0.5]), w_prev=np.zeros(1))
-        assert predict(state, np.array([2.0])) == 1.0
-
-    def test_error_examples(self):
-        state = FilterState.zeros(2)
-        x = np.array([1.0, 1.0])
-        assert error(0.5, state, x) == 0.5
-        state2 = FilterState(w=np.array([1.0]), w_prev=np.zeros(1))
-        assert error(1.0, state2, np.array([1.0])) == 0.0
-        assert error(predict(state2, np.array([2.0])), state2, np.array([2.0])) == 0.0
-
-    def test_dimension_mismatch(self):
-        state = FilterState.zeros(2)
-        with pytest.raises(ParameterError):
-            predict(state, np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(ParameterError):
-            error(0.0, state, np.array([1.0]))
 
 
 class TestStepHandOracles:
@@ -93,7 +50,7 @@ class TestStepHandOracles:
         assert np.max(np.abs(out.w - np.array([0.1, -0.1]))) <= 1e-15
 
     def test_sign_family_zero_attractor(self):
-        spec = AlgorithmSpec(family="sign", penalty="za", mu=0.1, rho_za=0.01)
+        spec = AlgorithmSpec(family="sign", penalty="za", mu=0.1, rho=0.01)
         state = FilterState(w=np.array([0.2]), w_prev=np.zeros(1))
         out = step(spec, state, np.array([1.0]), 0.0)
         assert abs(out.w[0] - 0.09) <= 1e-15
@@ -112,12 +69,27 @@ class TestStepHandOracles:
         assert out.n == 8
         assert np.array_equal(out.w_prev, state.w)
 
+    def test_dimension_mismatch(self):
+        state = FilterState.zeros(2)
+        with pytest.raises(ParameterError, match="does not match"):
+            step(AlgorithmSpec(), state, np.array([1.0, 2.0, 3.0]), 0.0)
+        with pytest.raises(ParameterError, match="does not match"):
+            step(AlgorithmSpec(), state, np.array([1.0]), 0.0)
+
+
+ORACLE_PARAMS = {
+    "none": {},
+    "za": {"rho": 0.003},
+    "rza": {"rho": 0.002, "eps": 20.0},
+    "rl1": {"rho": 0.004, "delta": 0.05},
+    "lp": {"rho": 0.001, "eps": 0.05, "p": 0.5},
+}
+
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_step_matches_scalar_oracle(name):
-    spec = AlgorithmSpec.from_name(
-        name, mu=0.05, rho_za=0.003, rho_rza=0.002, eps_rza=20.0,
-        rho_rl1=0.004, delta_rl1=0.05, rho_lp=0.001, eps_lp=0.05, p=0.5)
+    penalty = AlgorithmSpec.from_name(name).penalty
+    spec = AlgorithmSpec.from_name(name, mu=0.05, **ORACLE_PARAMS[penalty])
     rng = np.random.default_rng(sum(map(ord, name)))
     state = FilterState.zeros(6)
     for _ in range(30):
@@ -147,7 +119,7 @@ class TestPenaltyValue:
         assert penalty_value(spec, np.array([1.0, -2.0, 0.0])) == 3.0
 
     def test_rza_at_zero(self):
-        spec = AlgorithmSpec(penalty="rza", eps_rza=20.0)
+        spec = AlgorithmSpec(penalty="rza", eps=20.0)
         assert penalty_value(spec, np.array([0.0])) == 0.0
 
     def test_lp_single_element(self):
@@ -159,7 +131,7 @@ class TestPenaltyValue:
         assert penalty_value(spec, np.array([1.0, 2.0])) == 0.0
 
     def test_rl1_uses_frozen_weights(self):
-        spec = AlgorithmSpec(penalty="rl1", delta_rl1=0.5)
+        spec = AlgorithmSpec(penalty="rl1", delta=0.5)
         w = np.array([1.0, -2.0])
         w_prev = np.array([0.5, 1.5])
         assert penalty_value(spec, w, w_prev) == pytest.approx(1.0 / 1.0 + 2.0 / 2.0)
@@ -180,14 +152,14 @@ class TestInvariants:
         assert np.max(np.abs(out.w - w)) <= bound + slack
 
     def test_pure_zero_attraction_decrement(self):
-        spec = AlgorithmSpec(family="sign", penalty="za", rho_za=0.01)
+        spec = AlgorithmSpec(family="sign", penalty="za", rho=0.01)
         w = np.array([0.5, -0.3, 0.02, -0.011])
         state = FilterState(w=w.copy(), w_prev=np.zeros(4))
         out = step(spec, state, np.zeros(4), 0.0)
         assert np.array_equal(np.abs(out.w), np.abs(w) - 0.01)
 
     def test_rza_attenuation_ordering(self):
-        spec = AlgorithmSpec(penalty="rza", rho_rza=2e-3, eps_rza=20.0)
+        spec = AlgorithmSpec(penalty="rza", rho=2e-3, eps=20.0)
         w = np.array([0.01, 0.1, 0.5, 2.0])
         mags = np.abs(attractor(spec, w))
         assert np.all(np.diff(mags) < 0)
@@ -201,10 +173,10 @@ class TestInvariants:
         assert np.array_equal(out.w, np.zeros(5))
 
     def test_rl1_startup_weight_is_uniform(self):
-        spec = AlgorithmSpec(penalty="rl1", rho_rl1=5e-5, delta_rl1=0.05)
+        spec = AlgorithmSpec(penalty="rl1", rho=5e-5, delta=0.05)
         w = np.array([0.3, -0.2, 0.0])
         att = attractor(spec, w)  # w_prev defaults to zeros
-        expected = (spec.rho_rl1 / spec.delta_rl1) * np.sign(w)
+        expected = (spec.rho / spec.delta) * np.sign(w)
         np.testing.assert_allclose(att, expected, rtol=1e-15)
 
 
@@ -226,35 +198,35 @@ class TestGradientConsistency:
     """The attractor terms are (scaled) gradients of penalty_value."""
 
     def test_za(self):
-        spec = AlgorithmSpec(penalty="za", rho_za=3e-4)
+        spec = AlgorithmSpec(penalty="za", rho=3e-4)
         rng = np.random.default_rng(5)
         for _ in range(10):
             w = random_zero_free(rng)
             fd = central_difference(lambda v: penalty_value(spec, v), w)
-            np.testing.assert_allclose(attractor(spec, w), spec.rho_za * fd, rtol=1e-6)
+            np.testing.assert_allclose(attractor(spec, w), spec.rho * fd, rtol=1e-6)
 
     def test_rza(self):
-        spec = AlgorithmSpec(penalty="rza", rho_rza=2e-3, eps_rza=20.0)
+        spec = AlgorithmSpec(penalty="rza", rho=2e-3, eps=20.0)
         rng = np.random.default_rng(6)
-        scale = spec.rho_rza / spec.eps_rza  # penalty_value omits the weight
+        scale = spec.rho / spec.eps  # penalty_value omits the weight
         for _ in range(10):
             w = random_zero_free(rng)
             fd = central_difference(lambda v: penalty_value(spec, v), w)
             np.testing.assert_allclose(attractor(spec, w), scale * fd, rtol=1e-6)
 
     def test_rl1_frozen_weights(self):
-        spec = AlgorithmSpec(penalty="rl1", rho_rl1=5e-5, delta_rl1=0.05)
+        spec = AlgorithmSpec(penalty="rl1", rho=5e-5, delta=0.05)
         rng = np.random.default_rng(7)
         for _ in range(10):
             w = random_zero_free(rng)
             w_prev = random_zero_free(rng)
             fd = central_difference(lambda v: penalty_value(spec, v, w_prev), w)
-            np.testing.assert_allclose(attractor(spec, w, w_prev), spec.rho_rl1 * fd,
+            np.testing.assert_allclose(attractor(spec, w, w_prev), spec.rho * fd,
                                        rtol=1e-6)
 
     def test_lp_limit(self):
         eps = 1e-8
-        spec = AlgorithmSpec(penalty="lp", rho_lp=5e-6, eps_lp=eps, p=0.5)
+        spec = AlgorithmSpec(penalty="lp", rho=5e-6, eps=eps, p=0.5)
         rng = np.random.default_rng(8)
         for _ in range(10):
             w = random_zero_free(rng)
@@ -264,7 +236,7 @@ class TestGradientConsistency:
             fd = central_difference(lambda v: penalty_value(spec, v), w)
             np.testing.assert_allclose(fd, analytic, rtol=1e-6)
             tol = max(1e-4, eps / np.min(np.abs(w) ** q))
-            np.testing.assert_allclose(attractor(spec, w), spec.rho_lp * analytic,
+            np.testing.assert_allclose(attractor(spec, w), spec.rho * analytic,
                                        rtol=tol)
 
 
@@ -294,30 +266,37 @@ class TestAlgorithmSpec:
             AlgorithmSpec.from_name(name)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(mu=0.0), dict(mu=-0.1), dict(rho_za=-1e-9), dict(rho_lp=-1.0),
-        dict(eps_rza=0.0), dict(delta_rl1=0.0), dict(eps_lp=-0.05),
-        dict(p=0.0), dict(p=1.0), dict(p=1.5),
+        dict(mu=0.0), dict(mu=-0.1), dict(penalty="za", rho=-1e-9),
+        dict(penalty="lp", rho=-1.0), dict(penalty="rza", eps=0.0),
+        dict(penalty="rl1", delta=0.0), dict(penalty="lp", eps=-0.05),
+        dict(penalty="lp", p=0.0), dict(penalty="lp", p=1.0), dict(penalty="lp", p=1.5),
         dict(family="momentum"), dict(penalty="l0"),
+    ] + [  # a hyperparameter the penalty does not use, at a value valid for it
+        dict(penalty=pen, **{field: 0.5}) for pen in PENALTIES
+        for field in ("rho", "eps", "delta", "p") if field not in PENALTY_PARAMS[pen]
     ])
     def test_invalid_spec(self, kwargs):
         with pytest.raises(ParameterError):
             AlgorithmSpec(**kwargs)
 
-    @pytest.mark.parametrize("field", ["mu", "rho_za", "rho_rza", "eps_rza", "rho_rl1",
-                                       "delta_rl1", "rho_lp", "eps_lp"])
+    # mu, and every (penalty, hyperparameter) pair of the table
+    @pytest.mark.parametrize("penalty,field", [pytest.param("none", "mu", id="mu")] + [
+        pytest.param(pen, f, id=f"{f}_{pen}")
+        for pen, params in PENALTY_PARAMS.items() for f in params])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_hyperparameter_rejected(self, field, value):
+    def test_non_finite_hyperparameter_rejected(self, penalty, field, value):
         with pytest.raises(ParameterError, match=field):
-            AlgorithmSpec(**{field: value})
+            AlgorithmSpec(penalty=penalty, **{field: value})
 
     def test_defaults_match_reference_parameterization(self):
-        spec = AlgorithmSpec()
-        assert spec.mu == 0.005
-        assert spec.rho_za == 2e-4
-        assert spec.rho_rza == 2e-3
-        assert spec.eps_rza == 20.0
-        assert spec.rho_rl1 == 5e-5
-        assert spec.delta_rl1 == 0.05
-        assert spec.rho_lp == 5e-6
-        assert spec.eps_lp == 0.05
-        assert spec.p == 0.5
+        assert AlgorithmSpec().mu == 0.005
+        expected = {  # (rho, eps, delta, p); None where the penalty has no such parameter
+            "none": (None, None, None, None),
+            "za": (2e-4, None, None, None),
+            "rza": (2e-3, 20.0, None, None),
+            "rl1": (5e-5, None, 0.05, None),
+            "lp": (5e-6, 0.05, None, 0.5),
+        }
+        for penalty, values in expected.items():
+            spec = AlgorithmSpec(penalty=penalty)
+            assert (spec.rho, spec.eps, spec.delta, spec.p) == values, penalty

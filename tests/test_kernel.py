@@ -49,15 +49,15 @@ def step_0_1_0(spec, w, w_prev, x, d):
     if spec.penalty == "none":
         att = np.zeros_like(w)
     elif spec.penalty == "za":
-        att = spec.rho_za * s
+        att = spec.rho * s
     elif spec.penalty == "rza":
-        att = spec.rho_rza * s / (1.0 + spec.eps_rza * np.abs(w))
+        att = spec.rho * s / (1.0 + spec.eps * np.abs(w))
     elif spec.penalty == "rl1":
-        att = spec.rho_rl1 * s / (spec.delta_rl1 + np.abs(w_prev))
+        att = spec.rho * s / (spec.delta + np.abs(w_prev))
     else:
         q = 1.0 - spec.p
         norm_p = np.sum(np.abs(w) ** spec.p) ** (1.0 / spec.p)
-        att = spec.rho_lp * norm_p**q * s / (spec.eps_lp + np.abs(w) ** q)
+        att = spec.rho * norm_p**q * s / (spec.eps + np.abs(w) ** q)
     return w + g - att
 
 
@@ -113,10 +113,10 @@ def test_reference_size_trial():
 
 
 def test_same_penalty_with_different_hyperparameters():
-    specs = (AlgorithmSpec.from_name("slms-rza", eps_rza=20.0),
-             AlgorithmSpec.from_name("lms-lp", p=0.3, eps_lp=0.1),
-             AlgorithmSpec.from_name("lms-rza", eps_rza=5.0),
-             AlgorithmSpec.from_name("lms-rza", eps_rza=20.0),
+    specs = (AlgorithmSpec.from_name("slms-rza", eps=20.0),
+             AlgorithmSpec.from_name("lms-lp", p=0.3, eps=0.1),
+             AlgorithmSpec.from_name("lms-rza", eps=5.0),
+             AlgorithmSpec.from_name("lms-rza", eps=20.0),
              AlgorithmSpec.from_name("slms-lp"))
     rules = Rules(specs)
     assert rules.order == (0, 3, 1, 2, 4)

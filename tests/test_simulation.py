@@ -148,7 +148,7 @@ class TestRunTrial:
             x = pad[n:n + 16][::-1]
             d = float(real.channel.taps @ x)
             e = d - float(w @ x)
-            w = w + (spec.mu * np.sign(e)) * x - spec.rho_za * np.sign(w)
+            w = w + (spec.mu * np.sign(e)) * x - spec.rho * np.sign(w)
             expected[n] = float(np.sum((w - real.channel.taps) ** 2))
         np.testing.assert_allclose(result.nmse, expected, rtol=1e-10, atol=1e-300)
 
@@ -162,6 +162,8 @@ class TestSimConfigValidation:
         dict(n_trials=0), dict(n_iterations=0), dict(sparsity=0),
         dict(sparsity=17), dict(master_seed=-1), dict(input_kind="morse"),
         dict(snr_db=float("nan")), dict(algorithms=()),
+        dict(snr_db=4000.0), dict(snr_db=-4000.0),
+        dict(noise=AlphaStableParams(1.2, gamma=1e300), snr_db=-100.0),
     ])
     def test_invalid(self, small_config, overrides):
         with pytest.raises(ParameterError):
