@@ -12,7 +12,6 @@ available.  The regressor is the usual delay line over the input, with zeros
 before time 0.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +33,6 @@ class SparseChannel:
     n_taps: int
     sparsity: int
 
-    def to_csv(self, path):
-        _write_csv(path, self.taps)
-
-    @classmethod
-    def from_csv(cls, path):
-        taps = _read_csv(path)
-        support = np.flatnonzero(taps)
-        return cls(taps=taps, support=support, n_taps=taps.size, sparsity=support.size)
-
 
 @dataclass
 class TrainingSignal:
@@ -50,18 +40,6 @@ class TrainingSignal:
 
     samples: np.ndarray
     power: float
-
-    def __len__(self):
-        return self.samples.size
-
-    def to_csv(self, path):
-        _write_csv(path, self.samples)
-
-    @classmethod
-    def from_csv(cls, path):
-        samples = _read_csv(path)
-        # the nominal power is not stored; fall back to the realized one
-        return cls(samples=samples, power=float(np.mean(samples**2)))
 
 
 def generate_channel(n_taps, sparsity, rng):
@@ -125,21 +103,3 @@ def delay_lines(samples, n_taps):
     padded = np.zeros(samples.shape[:-1] + (samples.shape[-1] + n_taps - 1,))
     padded[..., :samples.shape[-1]] = samples[..., ::-1]
     return sliding_window_view(padded, n_taps, axis=-1)[..., ::-1, :]
-
-
-def _write_csv(path, values):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "value"])
-        for i, v in enumerate(values):
-            writer.writerow([i, repr(float(v))])
-
-
-def _read_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["index", "value"]:
-            raise ParameterError(f"unexpected CSV header {header!r}")
-        values = [float(row[1]) for row in reader]
-    return np.asarray(values)

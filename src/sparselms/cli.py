@@ -19,7 +19,7 @@ diverged), 4 output I/O error.
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -46,32 +46,6 @@ class ConfigError(Exception):
     """Bad configuration file or overrides."""
 
 
-@dataclass
-class RunManifest:
-    """What was run: resolved config, paths, version, wall-clock bounds."""
-
-    config_path: str
-    config: SimConfig
-    output_path: str
-    tool_version: str
-    started_utc: str
-    finished_utc: str
-    workers: int
-
-    def write(self, path):
-        lines = [
-            f"tool_version = {self.tool_version}",
-            f"config_path = {self.config_path}",
-            f"output_path = {self.output_path}",
-            f"started_utc = {self.started_utc}",
-            f"finished_utc = {self.finished_utc}",
-            f"workers = {self.workers}",
-        ]
-        lines.extend(_flatten_config(self.config))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
 # AlgorithmSpec field -> config key, where they differ (lambda is a Python
 # keyword)
 _CONFIG_KEYS = {"rho": "lambda"}
@@ -84,56 +58,69 @@ def _algorithm_items(spec):
             for field in ("mu", *PENALTY_PARAMS[spec.penalty])]
 
 
-_TEMPLATE_HEAD = """\
-# sparselms experiment configuration (reference parameterization)
-
-[channel]
-n_taps = 128
-sparsity = 8
-
-[noise]
-alpha = 1.2
-beta = 0.0
-gamma = 1.0
-delta = 0.0
-
-[run]
-iterations = 3000
-trials = 100
-snr_db = 10.0
-seed = 1
-input = gaussian
-"""
-
-
-def _template():
-    """The reference parameterization: every algorithm at its defaults."""
-    sections = [_TEMPLATE_HEAD]
-    for penalty in PENALTY_PARAMS:
-        for family in FAMILIES:
-            spec = AlgorithmSpec(family=family, penalty=penalty)
-            lines = [f"[algorithm.{spec.name}]"]
-            lines.extend(f"{key} = {value!r}" for key, value in _algorithm_items(spec))
-            sections.append("\n".join(lines) + "\n")
-    return "\n".join(sections)
+# section -> config key -> (field, type, default) of the [channel], [noise]
+# and [run] sections; the fields are SimConfig fields, and AlphaStableParams
+# fields for [noise].  An omitted key takes its default, which is also the
+# template's value.
+SECTIONS = {
+    "channel": {
+        "n_taps": ("n_taps", int, 128),
+        "sparsity": ("sparsity", int, 8),
+    },
+    "noise": {
+        "alpha": ("alpha", float, 1.2),
+        "beta": ("beta", float, 0.0),
+        "gamma": ("gamma", float, 1.0),
+        "delta": ("delta", float, 0.0),
+    },
+    "run": {
+        "iterations": ("n_iterations", int, 3000),
+        "trials": ("n_trials", int, 100),
+        "snr_db": ("snr_db", float, 10.0),
+        "seed": ("master_seed", int, 1),
+        "input": ("input_kind", str, "gaussian"),
+    },
+}
+# field -> (section, config key), to name the key of a rejected field
+_FIELD_KEYS = {field: (name, key) for name, keys in SECTIONS.items()
+               for key, (field, _, _) in keys.items()}
 
 
-TEMPLATE = _template()
+def _defaults(name):
+    return {field: default for field, _, default in SECTIONS[name].values()}
 
 
-_CHANNEL_KEYS = {"n_taps", "sparsity"}
-_NOISE_KEYS = {"alpha", "beta", "gamma", "delta"}
-_RUN_KEYS = {"iterations", "trials", "snr_db", "seed", "input"}
+def _sections(config):
+    """``(section, [(config key, value), ...])`` of every section ``config``
+    resolves to, in file order; there is no [noise] section without noise."""
+    sources = {"channel": config, "noise": config.noise, "run": config}
+    sections = [(name, [(key, getattr(sources[name], field))
+                        for key, (field, _, _) in keys.items()])
+                for name, keys in SECTIONS.items() if sources[name] is not None]
+    sections.extend((f"algorithm.{spec.name}", _algorithm_items(spec))
+                    for spec in config.algorithms)
+    return sections
 
 
-def _get(section, key, convert, default):
-    if key not in section:
-        return default
+# the reference parameterization: every key and every algorithm at its default
+_REFERENCE = SimConfig(
+    **_defaults("channel"), **_defaults("run"),
+    noise=AlphaStableParams(**_defaults("noise")),
+    algorithms=tuple(AlgorithmSpec(family=family, penalty=penalty)
+                     for penalty in PENALTY_PARAMS for family in FAMILIES))
+
+TEMPLATE = "\n".join(
+    ["# sparselms experiment configuration (reference parameterization)\n"]
+    + [f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in items)
+       for name, items in _sections(_REFERENCE)])
+
+
+def _value(section, key, convert):
     raw = section[key]
     try:
         return convert(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+        raise ConfigError(f"bad value for {key!r} in [{section.name}]: {raw!r}") from exc
 
 
 def _check_keys(name, section, allowed):
@@ -153,37 +140,18 @@ def parse_config(path):
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
-    n_taps, sparsity = 128, 8
-    if parser.has_section("channel"):
-        sec = parser["channel"]
-        _check_keys("channel", sec, _CHANNEL_KEYS)
-        n_taps = _get(sec, "n_taps", int, n_taps)
-        sparsity = _get(sec, "sparsity", int, sparsity)
-
-    noise = None
-    if parser.has_section("noise"):
-        sec = parser["noise"]
-        _check_keys("noise", sec, _NOISE_KEYS)
-        noise = AlphaStableParams(
-            alpha=_get(sec, "alpha", float, 1.2),
-            beta=_get(sec, "beta", float, 0.0),
-            gamma=_get(sec, "gamma", float, 1.0),
-            delta=_get(sec, "delta", float, 0.0),
-        )
-
-    iterations, trials, snr_db, seed, input_kind = 3000, 100, 10.0, 0, "gaussian"
-    if parser.has_section("run"):
-        sec = parser["run"]
-        _check_keys("run", sec, _RUN_KEYS)
-        iterations = _get(sec, "iterations", int, iterations)
-        trials = _get(sec, "trials", int, trials)
-        snr_db = _get(sec, "snr_db", float, snr_db)
-        seed = _get(sec, "seed", int, seed)
-        input_kind = _get(sec, "input", str, input_kind)
+    fields = {name: _defaults(name) for name in SECTIONS}
+    for name, keys in SECTIONS.items():
+        if parser.has_section(name):
+            sec = parser[name]
+            _check_keys(name, sec, keys)
+            for key in sec:
+                field, convert, _ = keys[key]
+                fields[name][field] = _value(sec, key, convert)
 
     algorithms = []
     for section_name in parser.sections():
-        if section_name in ("channel", "noise", "run"):
+        if section_name in SECTIONS:
             continue
         prefix, _, alg_name = section_name.partition(".")
         if prefix != "algorithm" or not alg_name:
@@ -197,7 +165,7 @@ def parse_config(path):
         # one key at a time, so that a rejected value is named by its key
         for key in sec:
             try:
-                spec = replace(spec, **{_SPEC_FIELDS.get(key, key): _get(sec, key, float, None)})
+                spec = replace(spec, **{_SPEC_FIELDS.get(key, key): _value(sec, key, float)})
             except ParameterError as exc:
                 raise ConfigError(f"bad value for {key!r} in [{section_name}]: {exc}") from exc
         algorithms.append(spec)
@@ -206,12 +174,16 @@ def parse_config(path):
         raise ConfigError("no [algorithm.*] sections configured")
 
     try:
-        return SimConfig(n_taps=n_taps, sparsity=sparsity, n_iterations=iterations,
-                         n_trials=trials, snr_db=snr_db, noise=noise,
-                         algorithms=tuple(algorithms), master_seed=seed,
-                         input_kind=input_kind)
+        noise = AlphaStableParams(**fields["noise"]) if parser.has_section("noise") else None
+        return SimConfig(**fields["channel"], **fields["run"], noise=noise,
+                         algorithms=tuple(algorithms))
     except ParameterError as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+        # the library's messages begin with the name of the rejected field
+        field = str(exc).partition(" ")[0]
+        if field not in _FIELD_KEYS:
+            raise ConfigError(f"invalid configuration: {exc}") from exc
+        name, key = _FIELD_KEYS[field]
+        raise ConfigError(f"bad value for {key!r} in [{name}]: {exc}") from exc
 
 
 def _select_algorithms(config, names_csv):
@@ -230,25 +202,16 @@ def _select_algorithms(config, names_csv):
     return tuple(selected)
 
 
-def _flatten_config(config):
-    lines = [
-        f"n_taps = {config.n_taps}",
-        f"sparsity = {config.sparsity}",
-        f"iterations = {config.n_iterations}",
-        f"trials = {config.n_trials}",
-        f"snr_db = {config.snr_db!r}",
-        f"seed = {config.master_seed}",
-        f"input = {config.input_kind}",
-    ]
+def _write_manifest(path, config, **facts):
+    """What was run: one ``key = value`` line per fact, then every setting of
+    ``config`` as ``<section>.<key> = value``."""
+    lines = [f"{key} = {value}" for key, value in facts.items()]
     if config.noise is None:
         lines.append("noise = none")
-    else:
-        for key in ("alpha", "beta", "gamma", "delta"):
-            lines.append(f"noise.{key} = {getattr(config.noise, key)!r}")
-    for spec in config.algorithms:
-        lines.extend(f"algorithm.{spec.name}.{key} = {value!r}"
-                     for key, value in _algorithm_items(spec))
-    return lines
+    lines.extend(f"{name}.{key} = {value}"
+                 for name, items in _sections(config) for key, value in items)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_curves_csv(path, curves):
@@ -295,11 +258,10 @@ def cmd_run(args):
 
     try:
         _write_curves_csv(args.out, curves)
-        manifest = RunManifest(config_path=args.config, config=config,
-                               output_path=args.out, tool_version=__version__,
-                               started_utc=started, finished_utc=finished,
-                               workers=args.workers)
-        manifest.write(args.out + ".manifest")
+        _write_manifest(args.out + ".manifest", config, tool_version=__version__,
+                        config_path=args.config, output_path=args.out,
+                        started_utc=started, finished_utc=finished,
+                        workers=args.workers)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

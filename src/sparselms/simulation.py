@@ -89,7 +89,8 @@ class SimConfig:
         if self.master_seed < 0:
             raise ParameterError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.input_kind not in ("gaussian", "binary"):
-            raise ParameterError(f"unknown input kind {self.input_kind!r}")
+            raise ParameterError(
+                f"input_kind must be 'gaussian' or 'binary', got {self.input_kind!r}")
         self.algorithms = tuple(self.algorithms)
         if not self.algorithms:
             raise ParameterError("algorithms must not be empty")
@@ -149,7 +150,9 @@ def apply_snr(config):
     matched to the nominal noise scale, and the noise parameters with their
     dispersion divided by 10**(snr_db/10).  With ``noise = None`` the hook
     returns unit power and no noise.  Raises :class:`ParameterError`
-    naming ``snr_db`` if the scaled dispersion is not finite and positive.
+    naming ``snr_db`` if the scaled dispersion, or the scale
+    gamma**(1/alpha) that :func:`stable.sample` multiplies its draws by, is
+    not finite and positive.
     """
     if config.noise is None:
         return 1.0, None
@@ -160,10 +163,15 @@ def apply_snr(config):
     except OverflowError:
         factor = math.inf
     gamma = noise.gamma * factor
-    if not (math.isfinite(gamma) and gamma > 0.0):
+    try:
+        scale = gamma ** (1.0 / noise.alpha)
+    except OverflowError:
+        scale = math.inf
+    if not (math.isfinite(gamma) and gamma > 0.0 and math.isfinite(scale) and scale > 0.0):
         raise ParameterError(
             f"snr_db = {config.snr_db} scales the noise dispersion gamma = {noise.gamma} "
-            f"to {gamma}; it must stay finite and positive")
+            f"to {gamma} and the sample scale gamma**(1/alpha) to {scale}; "
+            f"both must stay finite and positive")
     return power, noise.scaled(factor)
 
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparselms import (ParameterError, SparseChannel, TrainingSignal,
-                       generate_channel, generate_input, regressor)
+from sparselms import (ParameterError, TrainingSignal, generate_channel,
+                       generate_input, regressor)
 from sparselms.channel import delay_lines
 
 
@@ -108,22 +108,3 @@ class TestRegressor:
             newer = regressor(sig, n + 1, n_taps)
             older = regressor(sig, n, n_taps)
             assert np.array_equal(newer[1:], older[:n_taps - 1])
-
-
-class TestCsvRoundTrip:
-    def test_channel(self, tmp_path):
-        chan = generate_channel(32, 5, np.random.default_rng(11))
-        path = tmp_path / "channel.csv"
-        chan.to_csv(path)
-        back = SparseChannel.from_csv(path)
-        assert np.array_equal(back.taps, chan.taps)
-        assert np.array_equal(back.support, np.sort(chan.support))
-        assert back.n_taps == 32 and back.sparsity == 5
-
-    def test_signal(self, tmp_path):
-        sig = generate_input(64, 2.0, np.random.default_rng(12))
-        path = tmp_path / "signal.csv"
-        sig.to_csv(path)
-        back = TrainingSignal.from_csv(path)
-        assert np.array_equal(back.samples, sig.samples)
-        assert back.power == pytest.approx(np.mean(sig.samples**2))

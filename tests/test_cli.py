@@ -1,3 +1,5 @@
+import configparser
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -132,8 +134,25 @@ class TestParseConfig:
     def test_bad_value_type(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[channel]\nn_taps = many\n\n[algorithm.slms]\n")
-        with pytest.raises(ConfigError, match="n_taps"):
+        with pytest.raises(ConfigError, match=r"'n_taps' in \[channel\]"):
             parse_config(str(path))
+
+    def test_noise_domain_error_is_a_config_error(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[noise]\nalpha = 3.0\n\n[algorithm.slms]\n")
+        with pytest.raises(ConfigError, match=r"'alpha' in \[noise\]"):
+            parse_config(str(path))
+
+    def test_omitted_keys_take_the_templates_values(self, template_path, tmp_path):
+        template = parse_config(template_path)
+        path = tmp_path / "c.ini"
+        path.write_text("[algorithm.slms]\n")
+        config = parse_config(str(path))
+        assert config.master_seed == 1
+        assert replace(config, noise=template.noise, algorithms=template.algorithms) == template
+        # an empty [noise] section gives the template's noise
+        path.write_text("[noise]\n\n[algorithm.slms]\n")
+        assert replace(parse_config(str(path)), algorithms=template.algorithms) == template
 
     def test_no_algorithms(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -197,6 +216,18 @@ class TestCmdRun:
         assert "algorithm.slms-za.lambda = 0.0002" in manifest
         assert "started_utc = " in manifest and "finished_utc = " in manifest
 
+    def test_manifest_records_every_template_key_by_section(self, template_path, tmp_path):
+        out = str(tmp_path / "r.csv")
+        assert cli.main(["run", "--config", template_path, "--out", out,
+                         "--trials", "1", "--iterations", "5"]) == 0
+        manifest = Path(out + ".manifest").read_text().splitlines()
+        template = configparser.ConfigParser()
+        template.read_string(cli.TEMPLATE)
+        template["run"].update(trials="1", iterations="5")
+        for section in template.sections():
+            for key, value in template[section].items():
+                assert f"{section}.{key} = {value}" in manifest
+
     def test_manifest_lists_each_algorithms_keys(self, template_path, tmp_path):
         out = str(tmp_path / "r.csv")
         assert cli.main(["run", "--config", template_path, "--out", out,
@@ -254,7 +285,10 @@ class TestCmdRun:
         assert "gamma" in capsys.readouterr().err
 
     @pytest.mark.parametrize("noise,snr_db", [
-        ("alpha = 1.2", "4000"), ("alpha = 1.2", "-4000"), ("gamma = 1e300", "-100")])
+        ("alpha = 1.2", "4000"), ("alpha = 1.2", "-4000"), ("gamma = 1e300", "-100"),
+        # the sampler's scale gamma**(1/alpha) underflows or overflows
+        ("alpha = 0.1", "400"), ("alpha = 0.1\ngamma = 1e300", "0"),
+        ("alpha = 0.5\ngamma = 1e200", "0")])
     def test_snr_db_scaling_noise_out_of_range_exits_2(self, tmp_path, capsys, noise, snr_db):
         path = tmp_path / "c.ini"
         path.write_text(f"[noise]\n{noise}\n\n[run]\niterations = 20\ntrials = 1\n"
@@ -264,6 +298,26 @@ class TestCmdRun:
         assert code == 2
         assert "snr_db" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("channel", "n_taps", "many"), ("channel", "sparsity", "0"),
+        ("noise", "alpha", "heavy"), ("noise", "beta", "2"),
+        ("run", "iterations", "1e3"), ("run", "trials", "0"), ("run", "seed", "-1"),
+        ("run", "snr_db", "nan"), ("run", "input", "morse"),
+        ("algorithm.slms", "mu", "fast"), ("algorithm.slms", "mu", "-1"),
+    ])
+    def test_bad_value_exits_2_naming_key_and_section(self, tmp_path, capsys,
+                                                      section, key, value):
+        config = configparser.ConfigParser()
+        config.read_dict({"channel": {}, "noise": {}, "run": {"iterations": 20, "trials": 1},
+                          "algorithm.slms": {}})
+        config[section][key] = value
+        path = tmp_path / "c.ini"
+        with path.open("w") as fh:
+            config.write(fh)
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert f"bad value for {key!r} in [{section}]" in capsys.readouterr().err
 
     def test_unwritable_out_exits_4(self, mini_path, tmp_path):
         code = cli.main(["run", "--config", mini_path,

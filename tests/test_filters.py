@@ -151,6 +151,23 @@ class TestInvariants:
         slack = 1e-15 * (1.0 + np.max(np.abs(w)))
         assert np.max(np.abs(out.w - w)) <= bound + slack
 
+    # per coordinate, |dw_i| <= mu*|x_i| + |attractor_i(w, w_prev)| however
+    # large the error is
+    @pytest.mark.parametrize("penalty", PENALTIES)
+    @given(seed=st.integers(0, 500))
+    def test_bounded_sign_update_per_penalty(self, penalty, seed):
+        rng = np.random.default_rng(seed)
+        spec = AlgorithmSpec(family="sign", penalty=penalty, mu=0.005)
+        w = rng.standard_normal(12)
+        w_prev = rng.standard_normal(12)
+        x = rng.standard_normal(12) * 10
+        d = float(rng.standard_normal() * 100)
+        state = FilterState(w=w.copy(), w_prev=w_prev.copy())
+        out = step(spec, state, x, d)
+        bound = spec.mu * np.abs(x) + np.abs(attractor(spec, w, w_prev))
+        slack = 1e-15 * (1.0 + np.max(np.abs(w)))
+        assert np.all(np.abs(out.w - w) <= bound + slack)
+
     def test_pure_zero_attraction_decrement(self):
         spec = AlgorithmSpec(family="sign", penalty="za", rho=0.01)
         w = np.array([0.5, -0.3, 0.02, -0.011])

@@ -164,6 +164,10 @@ class TestSimConfigValidation:
         dict(snr_db=float("nan")), dict(algorithms=()),
         dict(snr_db=4000.0), dict(snr_db=-4000.0),
         dict(noise=AlphaStableParams(1.2, gamma=1e300), snr_db=-100.0),
+        # the sampler's scale gamma**(1/alpha) underflows or overflows
+        dict(noise=AlphaStableParams(0.1), snr_db=400.0),
+        dict(noise=AlphaStableParams(0.1, gamma=1e300), snr_db=0.0),
+        dict(noise=AlphaStableParams(0.5, gamma=1e200), snr_db=0.0),
     ])
     def test_invalid(self, small_config, overrides):
         with pytest.raises(ParameterError):
