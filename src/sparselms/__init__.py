@@ -15,7 +15,7 @@ from .filters import (AlgorithmSpec, FilterState, attractor, penalty_value,
                       step)
 from .simulation import (LearningCurve, Realization, SimConfig, TrialResult,
                          apply_snr, derive_trial_seed, make_realization,
-                         mse_db, run_experiment, run_trial)
+                         run_experiment, run_trial)
 from .stable import AlphaStableParams, characteristic_function, sample
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "generate_channel",
     "generate_input",
     "make_realization",
-    "mse_db",
     "penalty_value",
     "regressor",
     "run_experiment",

@@ -131,7 +131,8 @@ def _check_keys(name, section, allowed):
 
 def parse_config(path):
     """Read and validate a config file into a SimConfig."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no [DEFAULT] section: its keys would be copied into every section
+    parser = configparser.ConfigParser(interpolation=None, default_section=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -217,8 +218,8 @@ def _write_manifest(path, config, **facts):
 def _write_curves_csv(path, curves):
     rows = []
     for curve in sorted(curves, key=lambda c: c.algorithm):
-        for i, value in enumerate(curve.mse_db, start=1):
-            rows.append(f"{curve.algorithm},{i},{float(value)!r},{curve.trials_diverged}")
+        for i, value in enumerate(curve.mse_db.tolist(), start=1):
+            rows.append(f"{curve.algorithm},{i},{value!r},{curve.trials_diverged}")
     with open(path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.write("\n".join(rows) + "\n")
@@ -233,13 +234,9 @@ def cmd_run(args):
         if args.workers < 1:
             raise ParameterError(f"--workers must be >= 1, got {args.workers}")
         config = parse_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.trials is not None:
-            overrides["n_trials"] = args.trials
-        if args.iterations is not None:
-            overrides["n_iterations"] = args.iterations
+        # --seed, --trials and --iterations are named as their [run] keys
+        overrides = {field: getattr(args, key) for key, (field, _, _) in SECTIONS["run"].items()
+                     if getattr(args, key, None) is not None}
         if args.algorithms:
             overrides["algorithms"] = _select_algorithms(config, args.algorithms)
         if overrides:

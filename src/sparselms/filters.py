@@ -162,10 +162,9 @@ class Rules:
     """The update rules of a block of coefficient rows, one per spec.
 
     A block is a ``(rules, trials, taps)`` array: row ``i`` runs
-    ``specs[order[i]]`` on every trial of the block.  The rows are ordered
-    so that the algorithms sharing a penalty and its hyperparameters form
-    one contiguous slice, which costs one :func:`attractor` call on a view
-    per sample.
+    ``specs[i]`` on every trial of the block.  Adjacent rows whose specs
+    share a penalty and its hyperparameters form one group, which costs one
+    :func:`attractor` call on a view per sample.
 
     Every product is formed as in the one-row recursion (``np.vecdot`` on
     forward-strided rows is the same dot product as ``w @ x``), so a block
@@ -173,18 +172,13 @@ class Rules:
     """
 
     def __init__(self, specs):
+        self.mu = np.array([[spec.mu] for spec in specs])
+        self.sign = np.array([[spec.family == "sign"] for spec in specs])
         # rows whose specs differ only in family and step size share an attractor
         keys = [replace(spec, family="sign", mu=DEFAULT_MU) for spec in specs]
-        rank = {}
-        for key in keys:
-            rank.setdefault(key, len(rank))
-        self.order = tuple(sorted(range(len(specs)), key=lambda i: rank[keys[i]]))
-        ordered = [specs[i] for i in self.order]
-        self.mu = np.array([[spec.mu] for spec in ordered])
-        self.sign = np.array([[spec.family == "sign"] for spec in ordered])
         self.groups = []
         start = 0
-        for key, members in itertools.groupby(self.order, key=keys.__getitem__):
+        for key, members in itertools.groupby(keys):
             stop = start + len(list(members))
             if key.penalty != "none":
                 self.groups.append((key, slice(start, stop)))

@@ -46,12 +46,6 @@ from .stable import AlphaStableParams, sample
 MSE_FLOOR_DB = -100.0
 _FLOOR_RATIO = 10.0 ** (MSE_FLOOR_DB / 10.0)
 
-
-def _to_db(mean_nmse):
-    """A mean normalized squared error in dB, floored at MSE_FLOOR_DB."""
-    return 10.0 * np.log10(np.maximum(mean_nmse, _FLOOR_RATIO))
-
-
 # trials per unit of work: the kernel advances this many trials of every
 # algorithm at once, and the process pool hands out one chunk per job.  Small
 # chunks keep a worker's arrays in cache and its memory flat.
@@ -150,29 +144,19 @@ def apply_snr(config):
     matched to the nominal noise scale, and the noise parameters with their
     dispersion divided by 10**(snr_db/10).  With ``noise = None`` the hook
     returns unit power and no noise.  Raises :class:`ParameterError`
-    naming ``snr_db`` if the scaled dispersion, or the scale
-    gamma**(1/alpha) that :func:`stable.sample` multiplies its draws by, is
-    not finite and positive.
+    naming ``snr_db`` if the scaled parameters are out of range (see
+    :class:`AlphaStableParams`).
     """
     if config.noise is None:
         return 1.0, None
     noise = config.noise
     power = 2.0 * noise.gamma if noise.alpha == 2.0 else noise.gamma
     try:
-        factor = 10.0 ** (-config.snr_db / 10.0)
-    except OverflowError:
-        factor = math.inf
-    gamma = noise.gamma * factor
-    try:
-        scale = gamma ** (1.0 / noise.alpha)
-    except OverflowError:
-        scale = math.inf
-    if not (math.isfinite(gamma) and gamma > 0.0 and math.isfinite(scale) and scale > 0.0):
+        return power, noise.scaled(10.0 ** (-config.snr_db / 10.0))
+    except (OverflowError, ParameterError) as exc:
         raise ParameterError(
             f"snr_db = {config.snr_db} scales the noise dispersion gamma = {noise.gamma} "
-            f"to {gamma} and the sample scale gamma**(1/alpha) to {scale}; "
-            f"both must stay finite and positive")
-    return power, noise.scaled(factor)
+            f"out of range: {exc}") from exc
 
 
 def make_realization(config, trial_seed):
@@ -235,8 +219,7 @@ def _filter_block(specs, realizations, n_iterations):
             if not np.isfinite(sq[n]).all():
                 diverged_at[(diverged_at < 0) & ~np.isfinite(w).all(axis=-1)] = n
     sq /= np.vecdot(truth, truth)
-    inverse = np.argsort(rules.order)
-    nmse, diverged_at = np.moveaxis(sq, 0, -1)[inverse], diverged_at[inverse]
+    nmse = np.moveaxis(sq, 0, -1)
     for a, m in zip(*np.nonzero(diverged_at >= 0)):
         nmse[a, m, diverged_at[a, m]:] = np.nan
     return nmse, diverged_at
@@ -283,27 +266,8 @@ def run_experiment(config, workers=1):
         if n_ok == 0:
             curve = np.full(config.n_iterations, np.nan)
         else:
-            curve = _to_db(sums[a] / n_ok)
+            curve = 10.0 * np.log10(np.maximum(sums[a] / n_ok, _FLOOR_RATIO))
         curves.append(LearningCurve(algorithm=name, mse_db=curve,
                                     trials_completed=n_ok,
                                     trials_diverged=config.n_trials - n_ok))
     return curves
-
-
-def mse_db(estimates, truth):
-    """Trial-averaged normalized squared error in dB, floored at -100.
-
-    ``estimates`` is the collection of estimated tap vectors (one per
-    trial) at a common iteration; ``truth`` the actual channel.
-    """
-    truth = np.asarray(truth, dtype=float)
-    denom = float(truth @ truth)
-    if denom <= 0.0:
-        raise ParameterError("truth vector must have positive norm")
-    ratios = []
-    for est in estimates:
-        diff = np.asarray(est, dtype=float) - truth
-        ratios.append(float(diff @ diff) / denom)
-    if not ratios:
-        raise ParameterError("estimates must not be empty")
-    return float(_to_db(sum(ratios) / len(ratios)))

@@ -17,6 +17,7 @@ validated statistically against the characteristic function above (see the
 test suite and the ``validate-noise`` CLI command).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,9 @@ class AlphaStableParams:
         Symmetry parameter, in [-1, 1].  0 means symmetric noise.
     gamma : float
         Dispersion, finite and > 0.  Plays the role the variance plays for Gaussians;
-        at alpha = 2 the variance is exactly 2*gamma.
+        at alpha = 2 the variance is exactly 2*gamma.  The sample scale
+        gamma**(1/alpha) must also be a finite positive float, which rules
+        out e.g. gamma = 1e-40 (underflow) or 1e300 (overflow) at alpha = 0.1.
     delta : float
         Location (a pure shift), finite.
     """
@@ -57,8 +60,22 @@ class AlphaStableParams:
             raise ParameterError(f"beta must be in [-1, 1], got {self.beta}")
         if not (np.isfinite(self.gamma) and self.gamma > 0.0):
             raise ParameterError(f"gamma must be finite and positive, got {self.gamma}")
+        try:
+            scale = self.scale
+        except OverflowError:
+            scale = math.inf
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ParameterError(
+                f"gamma = {self.gamma} gives the sample scale gamma**(1/alpha) = {scale} "
+                f"at alpha = {self.alpha}; it must be finite and positive")
         if not np.isfinite(self.delta):
             raise ParameterError(f"delta must be finite, got {self.delta}")
+
+    @property
+    def scale(self):
+        """gamma**(1/alpha), the factor :func:`sample` multiplies its
+        standard draws by."""
+        return math.pow(self.gamma, 1.0 / self.alpha)
 
     def scaled(self, factor):
         """Return a copy with the dispersion multiplied by ``factor``."""
@@ -110,9 +127,10 @@ def sample(params, rng, size=None):
         X = sin(a*(V+B)) / cos(V)**(1/a) * (cos(V - a*(V+B)) / W)**((1-a)/a)
 
     (B and a scale factor absorb the skew) is a standard stable draw, which
-    is then scaled by gamma**(1/alpha) and shifted by delta.  The skew sign
-    is flipped internally so that the output matches the characteristic
-    function convention used by :func:`characteristic_function`.
+    is then scaled by ``params.scale`` = gamma**(1/alpha) and shifted by
+    delta.  The skew sign is flipped internally so that the output matches
+    the characteristic function convention used by
+    :func:`characteristic_function`.
     """
     a, g, d = params.alpha, params.gamma, params.delta
     # the CF above has the opposite skew-term sign from the textbook
@@ -138,6 +156,6 @@ def sample(params, rng, size=None):
             scale = (1.0 + bt * bt) ** (1.0 / (2.0 * a))
             x = (scale * np.sin(a * (v + shift)) / np.cos(v) ** (1.0 / a)
                  * (np.cos(v - a * (v + shift)) / w) ** ((1.0 - a) / a))
-        out = g ** (1.0 / a) * x + d
+        out = params.scale * x + d
 
     return float(out[0]) if scalar else out

@@ -1,4 +1,5 @@
 import configparser
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,6 +8,9 @@ import pytest
 
 from sparselms import AlgorithmSpec, cli
 from sparselms.cli import ConfigError, parse_config
+from sparselms.filters import PENALTY_PARAMS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -87,6 +91,14 @@ class TestParseConfig:
         path.write_text("[bogus]\nx = 1\n\n[algorithm.slms]\n")
         with pytest.raises(ConfigError, match="bogus"):
             parse_config(str(path))
+
+    def test_default_section_exits_2_as_unknown(self, tmp_path, capsys):
+        # configparser would otherwise copy [DEFAULT] keys into every section
+        path = tmp_path / "c.ini"
+        path.write_text("[DEFAULT]\nseed = 3\n\n[algorithm.slms]\n")
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
 
     def test_unknown_algorithm_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -286,9 +298,8 @@ class TestCmdRun:
 
     @pytest.mark.parametrize("noise,snr_db", [
         ("alpha = 1.2", "4000"), ("alpha = 1.2", "-4000"), ("gamma = 1e300", "-100"),
-        # the sampler's scale gamma**(1/alpha) underflows or overflows
-        ("alpha = 0.1", "400"), ("alpha = 0.1\ngamma = 1e300", "0"),
-        ("alpha = 0.5\ngamma = 1e200", "0")])
+        # the sampler's scale gamma**(1/alpha) underflows
+        ("alpha = 0.1", "400")])
     def test_snr_db_scaling_noise_out_of_range_exits_2(self, tmp_path, capsys, noise, snr_db):
         path = tmp_path / "c.ini"
         path.write_text(f"[noise]\n{noise}\n\n[run]\niterations = 20\ntrials = 1\n"
@@ -298,6 +309,17 @@ class TestCmdRun:
         assert code == 2
         assert "snr_db" in capsys.readouterr().err
         assert not out.exists()
+
+    # the sampler's scale gamma**(1/alpha) overflows before any SNR scaling
+    @pytest.mark.parametrize("noise", ["alpha = 0.1\ngamma = 1e300", "alpha = 0.5\ngamma = 1e200"],
+                             ids=["alpha0.1-gamma1e300", "alpha0.5-gamma1e200"])
+    def test_sample_scale_out_of_range_exits_2_naming_gamma(self, tmp_path, capsys, noise):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[noise]\n{noise}\n\n[run]\niterations = 20\ntrials = 1\n\n"
+                        f"[algorithm.slms]\n")
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "bad value for 'gamma' in [noise]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,key,value", [
         ("channel", "n_taps", "many"), ("channel", "sparsity", "0"),
@@ -360,6 +382,15 @@ class TestValidateNoise:
         assert cli.main(["validate-noise", "--alpha", "1.5", "--gamma", "-1"]) == 2
         assert cli.main(["validate-noise", "--alpha", "1.5", "--samples", "0"]) == 2
 
+    # the sample scale gamma**(1/alpha) overflows, or underflows to 0, which
+    # would sample all-zero draws
+    @pytest.mark.parametrize("gamma", ["1e300", "1e-40"])
+    def test_sample_scale_out_of_range_exits_2(self, capsys, gamma):
+        assert cli.main(["validate-noise", "--alpha", "0.1", "--gamma", gamma]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: gamma")
+        assert "verdict" not in captured.out
+
 
 class TestTemplate:
     def test_round_trip(self, tmp_path, capsys):
@@ -374,3 +405,28 @@ class TestTemplate:
         out = str(tmp_path / "t.ini")
         assert cli.main(["template", "--out", out]) == 0
         assert Path(out).read_text() == cli.TEMPLATE
+
+
+class TestReadme:
+    """The README's config example and penalty table against the tables
+    that the parser and the template derive from."""
+
+    def test_ini_example_equals_the_template(self):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        readme = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+        readme.read_string(block)
+        template = configparser.ConfigParser(interpolation=None)
+        template.read_string(cli.TEMPLATE)
+        assert readme.sections()
+        for name in readme.sections():
+            assert dict(readme[name]) == dict(template[name]), name
+
+    def test_penalty_table_equals_penalty_params(self):
+        text = README.read_text()
+        table = text[text.index("| penalty | keys and defaults |"):].split("\n\n")[0]
+        rows = dict(tuple(cell.strip() for cell in line.strip("|").split("|"))
+                    for line in table.splitlines()[2:])
+        assert rows == {
+            penalty: ", ".join(f"`{cli._CONFIG_KEYS.get(field, field)} = {value}`"
+                               for field, value in params.items()) or "-"
+            for penalty, params in PENALTY_PARAMS.items()}

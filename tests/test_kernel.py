@@ -113,15 +113,18 @@ def test_reference_size_trial():
 
 
 def test_same_penalty_with_different_hyperparameters():
+    # only adjacent rows with equal hyperparameters share an attractor call:
+    # rows 0 and 3 are equal but apart, rows 4 and 5 differ only in family
     specs = (AlgorithmSpec.from_name("slms-rza", eps=20.0),
              AlgorithmSpec.from_name("lms-lp", p=0.3, eps=0.1),
              AlgorithmSpec.from_name("lms-rza", eps=5.0),
              AlgorithmSpec.from_name("lms-rza", eps=20.0),
-             AlgorithmSpec.from_name("slms-lp"))
+             AlgorithmSpec.from_name("slms-lp"),
+             AlgorithmSpec.from_name("lms-lp"))
     rules = Rules(specs)
-    assert rules.order == (0, 3, 1, 2, 4)
-    assert [(spec.penalty, rows) for spec, rows in rules.groups] == [
-        ("rza", slice(0, 2)), ("lp", slice(2, 3)), ("rza", slice(3, 4)), ("lp", slice(4, 5))]
+    assert [(spec.penalty, spec.eps, rows) for spec, rows in rules.groups] == [
+        ("rza", 20.0, slice(0, 1)), ("lp", 0.1, slice(1, 2)), ("rza", 5.0, slice(2, 3)),
+        ("rza", 20.0, slice(3, 4)), ("lp", 0.05, slice(4, 6))]
     assert_block_matches_loop(_config(), specs, range(3))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from sparselms import (AlgorithmSpec, AlphaStableParams, ParameterError,
                        SimConfig, apply_snr, derive_trial_seed,
-                       make_realization, mse_db, run_experiment, run_trial)
+                       make_realization, run_experiment, run_trial)
 
 ALL_NAMES = ("lms", "slms", "lms-za", "slms-za", "lms-rza", "slms-rza",
              "lms-rl1", "slms-rl1", "lms-lp", "slms-lp")
@@ -13,38 +13,6 @@ ALL_NAMES = ("lms", "slms", "lms-za", "slms-za", "lms-rza", "slms-rza",
 
 def _specs(*names):
     return tuple(AlgorithmSpec.from_name(n) for n in names)
-
-
-class TestMseDb:
-    def test_zero_estimate_is_zero_db(self):
-        truth = np.array([0.6, 0.8])
-        assert mse_db([np.zeros(2)], truth) == 0.0
-
-    def test_exact_estimate_hits_floor(self):
-        truth = np.array([0.6, 0.8])
-        assert mse_db([truth.copy()], truth) == -100.0
-
-    def test_two_trial_average(self):
-        truth = np.array([1.0, 0.0, 0.0])
-        estimates = [truth / 2, truth * 1.5]
-        # (0.25 + 0.25) / 2 = 0.25 -> 10*log10(0.25)
-        assert mse_db(estimates, truth) == pytest.approx(-6.020599913279624, abs=1e-12)
-
-    def test_zero_norm_truth_rejected(self):
-        with pytest.raises(ParameterError):
-            mse_db([np.ones(3)], np.zeros(3))
-
-    def test_empty_estimates_rejected(self):
-        with pytest.raises(ParameterError):
-            mse_db([], np.ones(2))
-
-    def test_matches_one_line_recomputation(self):
-        rng = np.random.default_rng(0)
-        truth = rng.standard_normal(6)
-        estimates = [rng.standard_normal(6) for _ in range(5)]
-        manual = 10 * math.log10(
-            np.mean([np.sum((e - truth) ** 2) for e in estimates]) / np.sum(truth**2))
-        assert abs(mse_db(estimates, truth) - manual) <= 1e-12
 
 
 class TestApplySnr:
@@ -164,10 +132,8 @@ class TestSimConfigValidation:
         dict(snr_db=float("nan")), dict(algorithms=()),
         dict(snr_db=4000.0), dict(snr_db=-4000.0),
         dict(noise=AlphaStableParams(1.2, gamma=1e300), snr_db=-100.0),
-        # the sampler's scale gamma**(1/alpha) underflows or overflows
+        # the sampler's scale gamma**(1/alpha) underflows
         dict(noise=AlphaStableParams(0.1), snr_db=400.0),
-        dict(noise=AlphaStableParams(0.1, gamma=1e300), snr_db=0.0),
-        dict(noise=AlphaStableParams(0.5, gamma=1e200), snr_db=0.0),
     ])
     def test_invalid(self, small_config, overrides):
         with pytest.raises(ParameterError):
@@ -223,6 +189,16 @@ class TestRunExperiment:
         with pytest.raises(ParameterError, match="workers"):
             run_experiment(small_config(), workers=workers)
 
+    def test_exact_estimate_hits_the_floor(self, small_config):
+        # noiseless lms identifies a 2-tap channel to the last bit, so the
+        # trial-averaged NMSE of 0 ends at the -100 dB floor, not at -inf
+        config = small_config(n_taps=2, sparsity=1, noise=None, n_trials=2,
+                              n_iterations=1000,
+                              algorithms=(AlgorithmSpec(family="gradient", mu=0.2),))
+        curve = run_experiment(config)[0]
+        assert curve.mse_db[-1] == -100.0
+        assert np.all(curve.mse_db >= -100.0)
+
     def test_monotone_sanity_noiseless(self, small_config):
         # every algorithm must end below its first-iteration MSE with z = 0
         config = small_config(noise=None, n_trials=2, n_iterations=600,
@@ -248,3 +224,49 @@ class TestRunExperiment:
             assert curve.trials_completed > 0
             assert np.all(np.isfinite(curve.mse_db))
             assert np.all(curve.mse_db >= -100.0)
+
+
+def steady_state_msd(name, s2, n_taps=128, mu=0.005, px=2.0):
+    """Closed-form plateau E||w(n) - w||^2 of plain lms or slms.
+
+    White Gaussian input of power px and Gaussian noise of variance s2,
+    under the independence assumption:
+
+        lms:   K = mu N s2 / (2 - mu (N+2) px)
+        slms:  K = c sqrt(s2 + px K),  c = mu N sqrt(pi/2) / 2
+
+    (slms: the error is Gaussian with variance s2 + px K); the positive root
+    of K**2 = c**2 (s2 + px K) is returned.  References: Feuer and
+    Weinstein, IEEE Trans. ASSP 1985 (lms); Mathews and Cho, IEEE Trans.
+    ASSP 1987 (sign-error lms).
+    """
+    if name == "lms":
+        return mu * n_taps * s2 / (2.0 - mu * (n_taps + 2) * px)
+    c2 = (mu * n_taps * math.sqrt(math.pi / 2.0) / 2.0) ** 2
+    return (c2 * px + math.sqrt((c2 * px) ** 2 + 4.0 * c2 * s2)) / 2.0
+
+
+class TestSteadyStateTheory:
+    """At alpha = 2 the noise is Gaussian with variance 2*gamma, and the
+    channel has unit norm, so the plateau of a learning curve is the
+    mean-square deviation of :func:`steady_state_msd`."""
+
+    @pytest.fixture(scope="class", params=[10.0, 20.0], ids=["snr10", "snr20"])
+    def plateaus(self, request):
+        config = SimConfig(n_taps=128, sparsity=8, n_iterations=3000, n_trials=32,
+                           snr_db=request.param, noise=AlphaStableParams(2.0),
+                           algorithms=_specs("lms", "slms"), master_seed=2026)
+        s2 = 2.0 * apply_snr(config)[1].gamma
+        # mean NMSE over the last 300 iterations, in dB
+        return s2, {curve.algorithm: 10.0 * np.log10(np.mean(10.0 ** (curve.mse_db[-300:] / 10.0)))
+                    for curve in run_experiment(config)}
+
+    @pytest.mark.parametrize("name", ["lms", "slms"])
+    def test_plateau_matches_theory(self, plateaus, name):
+        s2, measured = plateaus
+        # 0.2 dB: the largest gap seen over five seeds was 0.15 dB, from the
+        # Monte-Carlo spread of 32 trials x 300 iterations and the bias of
+        # the independence assumption.  A 10% error in either formula
+        # (0.41 dB) fails, and criterion 4's sign/gradient gaps are 5.7-9.4 dB
+        theory_db = 10.0 * math.log10(steady_state_msd(name, s2))
+        assert measured[name] == pytest.approx(theory_db, abs=0.2)
