@@ -18,6 +18,7 @@ diverged), 4 output I/O error.
 
 import argparse
 import configparser
+import contextlib
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -49,65 +50,44 @@ class ConfigError(Exception):
 # AlgorithmSpec field -> config key, where they differ (lambda is a Python
 # keyword)
 _CONFIG_KEYS = {"rho": "lambda"}
-_SPEC_FIELDS = {key: field for field, key in _CONFIG_KEYS.items()}
 
 
-def _algorithm_items(spec):
-    """(config key, value) of the step size and the penalty's hyperparameters."""
-    return [(_CONFIG_KEYS.get(field, field), getattr(spec, field))
-            for field in ("mu", *PENALTY_PARAMS[spec.penalty])]
+def _algorithm_keys(spec):
+    """Config key -> field of the step size and the penalty's hyperparameters."""
+    return {_CONFIG_KEYS.get(field, field): field
+            for field in ("mu", *PENALTY_PARAMS[spec.penalty])}
 
 
-# section -> config key -> (field, type, default) of the [channel], [noise]
-# and [run] sections; the fields are SimConfig fields, and AlphaStableParams
-# fields for [noise].  An omitted key takes its default, which is also the
-# template's value.
+# section -> config key -> field of the [channel], [noise] and [run] sections;
+# the fields are SimConfig fields, and AlphaStableParams fields for [noise].
+# An omitted key takes its field's value in _REFERENCE, and a key's type is
+# the type of that value.
 SECTIONS = {
-    "channel": {
-        "n_taps": ("n_taps", int, 128),
-        "sparsity": ("sparsity", int, 8),
-    },
-    "noise": {
-        "alpha": ("alpha", float, 1.2),
-        "beta": ("beta", float, 0.0),
-        "gamma": ("gamma", float, 1.0),
-        "delta": ("delta", float, 0.0),
-    },
-    "run": {
-        "iterations": ("n_iterations", int, 3000),
-        "trials": ("n_trials", int, 100),
-        "snr_db": ("snr_db", float, 10.0),
-        "seed": ("master_seed", int, 1),
-        "input": ("input_kind", str, "gaussian"),
-    },
+    "channel": {"n_taps": "n_taps", "sparsity": "sparsity"},
+    "noise": {"alpha": "alpha", "beta": "beta", "gamma": "gamma", "delta": "delta"},
+    "run": {"iterations": "n_iterations", "trials": "n_trials", "snr_db": "snr_db",
+            "seed": "master_seed", "input": "input_kind"},
 }
-# field -> (section, config key), to name the key of a rejected field
-_FIELD_KEYS = {field: (name, key) for name, keys in SECTIONS.items()
-               for key, (field, _, _) in keys.items()}
 
-
-def _defaults(name):
-    return {field: default for field, _, default in SECTIONS[name].values()}
+# the reference parameterization: every key and every algorithm at its default
+_REFERENCE = SimConfig(
+    n_taps=128, sparsity=8, n_iterations=3000, n_trials=100, snr_db=10.0, master_seed=1,
+    noise=AlphaStableParams(alpha=1.2),
+    algorithms=tuple(AlgorithmSpec(family=family, penalty=penalty)
+                     for penalty in PENALTY_PARAMS for family in FAMILIES))
 
 
 def _sections(config):
     """``(section, [(config key, value), ...])`` of every section ``config``
     resolves to, in file order; there is no [noise] section without noise."""
     sources = {"channel": config, "noise": config.noise, "run": config}
-    sections = [(name, [(key, getattr(sources[name], field))
-                        for key, (field, _, _) in keys.items()])
-                for name, keys in SECTIONS.items() if sources[name] is not None]
-    sections.extend((f"algorithm.{spec.name}", _algorithm_items(spec))
+    sections = [(name, keys, sources[name]) for name, keys in SECTIONS.items()
+                if sources[name] is not None]
+    sections.extend((f"algorithm.{spec.name}", _algorithm_keys(spec), spec)
                     for spec in config.algorithms)
-    return sections
+    return [(name, [(key, getattr(source, field)) for key, field in keys.items()])
+            for name, keys, source in sections]
 
-
-# the reference parameterization: every key and every algorithm at its default
-_REFERENCE = SimConfig(
-    **_defaults("channel"), **_defaults("run"),
-    noise=AlphaStableParams(**_defaults("noise")),
-    algorithms=tuple(AlgorithmSpec(family=family, penalty=penalty)
-                     for penalty in PENALTY_PARAMS for family in FAMILIES))
 
 TEMPLATE = "\n".join(
     ["# sparselms experiment configuration (reference parameterization)\n"]
@@ -115,18 +95,39 @@ TEMPLATE = "\n".join(
        for name, items in _sections(_REFERENCE)])
 
 
-def _value(section, key, convert):
-    raw = section[key]
+def _read(parser, section, keys, reference):
+    """Field -> value for each field that ``keys`` (config key -> field)
+    names: the value ``section`` of ``parser`` gives its key, converted to
+    the type of the field's value in ``reference``; that value itself if the
+    key is omitted."""
+    values = {field: getattr(reference, field) for field in keys.values()}
+    items = parser[section] if parser.has_section(section) else {}
+    for key in items:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    for key, raw in items.items():
+        field = keys[key]
+        try:
+            values[field] = type(values[field])(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r} in [{section}]: {raw!r}") from exc
+    return values
+
+
+@contextlib.contextmanager
+def _naming_keys(sections):
+    """Re-raise a :class:`ParameterError` as a :class:`ConfigError` naming the
+    config key of the field that the library's message begins with;
+    ``sections`` maps section -> config key -> field."""
     try:
-        return convert(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r} in [{section.name}]: {raw!r}") from exc
-
-
-def _check_keys(name, section, allowed):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in section [{name}]")
+        yield
+    except ParameterError as exc:
+        field = str(exc).partition(" ")[0]
+        for name, keys in sections.items():
+            for key, key_field in keys.items():
+                if key_field == field:
+                    raise ConfigError(f"bad value for {key!r} in [{name}]: {exc}") from exc
+        raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 def parse_config(path):
@@ -134,57 +135,38 @@ def parse_config(path):
     # no [DEFAULT] section: its keys would be copied into every section
     parser = configparser.ConfigParser(interpolation=None, default_section=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
-    fields = {name: _defaults(name) for name in SECTIONS}
-    for name, keys in SECTIONS.items():
-        if parser.has_section(name):
-            sec = parser[name]
-            _check_keys(name, sec, keys)
-            for key in sec:
-                field, convert, _ = keys[key]
-                fields[name][field] = _value(sec, key, convert)
-
+    references = {"channel": _REFERENCE, "noise": _REFERENCE.noise, "run": _REFERENCE}
+    fields = {name: _read(parser, name, keys, references[name])
+              for name, keys in SECTIONS.items()}
     algorithms = []
-    for section_name in parser.sections():
-        if section_name in SECTIONS:
+    for section in parser.sections():
+        if section in SECTIONS:
             continue
-        prefix, _, alg_name = section_name.partition(".")
+        prefix, _, alg_name = section.partition(".")
         if prefix != "algorithm" or not alg_name:
-            raise ConfigError(f"unknown section [{section_name}]")
+            raise ConfigError(f"unknown section [{section}]")
         try:
             spec = AlgorithmSpec.from_name(alg_name)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
-        sec = parser[section_name]
-        _check_keys(section_name, sec, dict(_algorithm_items(spec)))
-        # one key at a time, so that a rejected value is named by its key
-        for key in sec:
-            try:
-                spec = replace(spec, **{_SPEC_FIELDS.get(key, key): _value(sec, key, float)})
-            except ParameterError as exc:
-                raise ConfigError(f"bad value for {key!r} in [{section_name}]: {exc}") from exc
-        algorithms.append(spec)
+        keys = _algorithm_keys(spec)
+        with _naming_keys({section: keys}):
+            algorithms.append(replace(spec, **_read(parser, section, keys, spec)))
 
     if not algorithms:
         raise ConfigError("no [algorithm.*] sections configured")
 
-    try:
+    with _naming_keys(SECTIONS):
         noise = AlphaStableParams(**fields["noise"]) if parser.has_section("noise") else None
         return SimConfig(**fields["channel"], **fields["run"], noise=noise,
                          algorithms=tuple(algorithms))
-    except ParameterError as exc:
-        # the library's messages begin with the name of the rejected field
-        field = str(exc).partition(" ")[0]
-        if field not in _FIELD_KEYS:
-            raise ConfigError(f"invalid configuration: {exc}") from exc
-        name, key = _FIELD_KEYS[field]
-        raise ConfigError(f"bad value for {key!r} in [{name}]: {exc}") from exc
 
 
 def _select_algorithms(config, names_csv):
@@ -235,7 +217,7 @@ def cmd_run(args):
             raise ParameterError(f"--workers must be >= 1, got {args.workers}")
         config = parse_config(args.config)
         # --seed, --trials and --iterations are named as their [run] keys
-        overrides = {field: getattr(args, key) for key, (field, _, _) in SECTIONS["run"].items()
+        overrides = {field: getattr(args, key) for key, field in SECTIONS["run"].items()
                      if getattr(args, key, None) is not None}
         if args.algorithms:
             overrides["algorithms"] = _select_algorithms(config, args.algorithms)
@@ -276,6 +258,8 @@ def cmd_validate_noise(args):
                                    gamma=args.gamma, delta=args.delta)
         if args.samples < 1:
             raise ParameterError(f"samples must be >= 1, got {args.samples}")
+        if args.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {args.seed}")
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -330,9 +314,9 @@ def build_parser():
     validate = sub.add_parser("validate-noise",
                               help="check the noise sampler against its characteristic function")
     validate.add_argument("--alpha", type=float, default=2.0)
-    validate.add_argument("--beta", type=float, default=0.0)
-    validate.add_argument("--gamma", type=float, default=1.0)
-    validate.add_argument("--delta", type=float, default=0.0)
+    validate.add_argument("--beta", type=float, default=AlphaStableParams.beta)
+    validate.add_argument("--gamma", type=float, default=AlphaStableParams.gamma)
+    validate.add_argument("--delta", type=float, default=AlphaStableParams.delta)
     validate.add_argument("--samples", type=int, default=100000)
     validate.add_argument("--seed", type=int, default=0)
     validate.set_defaults(func=cmd_validate_noise)

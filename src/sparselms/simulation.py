@@ -75,6 +75,8 @@ class SimConfig:
             raise ParameterError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.n_iterations < 1:
             raise ParameterError(f"n_iterations must be >= 1, got {self.n_iterations}")
+        if self.n_taps < 1:
+            raise ParameterError(f"n_taps must be >= 1, got {self.n_taps}")
         if not (1 <= self.sparsity <= self.n_taps):
             raise ParameterError(
                 f"sparsity must be in [1, {self.n_taps}], got {self.sparsity}")
@@ -251,7 +253,9 @@ def run_experiment(config, workers=1):
             for start in range(0, config.n_trials, _TRIAL_CHUNK)]
     with contextlib.ExitStack() as stack:
         if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            # no more processes than jobs: the pool may fork all of them at once
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=min(workers, len(jobs))))
             results = pool.map(_trial_worker, jobs)
         else:
             results = map(_trial_worker, jobs)

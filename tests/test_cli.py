@@ -1,12 +1,12 @@
 import configparser
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparselms import AlgorithmSpec, cli
+from sparselms import AlgorithmSpec, AlphaStableParams, SimConfig, cli
 from sparselms.cli import ConfigError, parse_config
 from sparselms.filters import PENALTY_PARAMS
 
@@ -137,6 +137,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "nope.ini"))
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_bytes(b"[algorithm.slms]\n# caf\xe9\n")
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
     def test_malformed_syntax(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("this is not an ini file\n")
@@ -176,6 +183,24 @@ class TestParseConfig:
         path = tmp_path / "c.ini"
         path.write_text("[algorithm.slms]\n")
         assert parse_config(str(path)).noise is None
+
+
+class TestSections:
+    """``cli.SECTIONS`` against the fields of the objects it configures."""
+
+    def test_every_field_has_exactly_one_key(self):
+        owners = {"channel": SimConfig, "noise": AlphaStableParams, "run": SimConfig}
+        assert set(cli.SECTIONS) == set(owners)
+        for cls in (SimConfig, AlphaStableParams):
+            mapped = sorted(field for name, keys in cli.SECTIONS.items()
+                            if owners[name] is cls for field in keys.values())
+            assert mapped == sorted(f.name for f in fields(cls)
+                                    if f.name not in ("noise", "algorithms")), cls.__name__
+
+    def test_reference_values_are_int_float_or_str(self):
+        for name, items in cli._sections(cli._REFERENCE):
+            for key, value in items:
+                assert type(value) in (int, float, str), f"[{name}] {key}"
 
 
 class TestCmdRun:
@@ -322,7 +347,7 @@ class TestCmdRun:
         assert "bad value for 'gamma' in [noise]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,key,value", [
-        ("channel", "n_taps", "many"), ("channel", "sparsity", "0"),
+        ("channel", "n_taps", "many"), ("channel", "n_taps", "0"), ("channel", "sparsity", "0"),
         ("noise", "alpha", "heavy"), ("noise", "beta", "2"),
         ("run", "iterations", "1e3"), ("run", "trials", "0"), ("run", "seed", "-1"),
         ("run", "snr_db", "nan"), ("run", "input", "morse"),
@@ -381,6 +406,7 @@ class TestValidateNoise:
         assert cli.main(["validate-noise", "--alpha", "0"]) == 2
         assert cli.main(["validate-noise", "--alpha", "1.5", "--gamma", "-1"]) == 2
         assert cli.main(["validate-noise", "--alpha", "1.5", "--samples", "0"]) == 2
+        assert cli.main(["validate-noise", "--alpha", "1.5", "--seed", "-1"]) == 2
 
     # the sample scale gamma**(1/alpha) overflows, or underflows to 0, which
     # would sample all-zero draws

@@ -5,7 +5,7 @@ import pytest
 
 from sparselms import (AlgorithmSpec, AlphaStableParams, ParameterError,
                        SimConfig, apply_snr, derive_trial_seed,
-                       make_realization, run_experiment, run_trial)
+                       make_realization, run_experiment, run_trial, simulation)
 
 ALL_NAMES = ("lms", "slms", "lms-za", "slms-za", "lms-rza", "slms-rza",
              "lms-rl1", "slms-rl1", "lms-lp", "slms-lp")
@@ -183,6 +183,19 @@ class TestRunExperiment:
             assert np.array_equal(cs.mse_db, cp.mse_db)
             assert (cs.trials_completed, cs.trials_diverged) == \
                    (cp.trials_completed, cp.trials_diverged)
+
+    def test_pool_no_larger_than_job_list(self, small_config, monkeypatch):
+        sizes = []
+
+        class RecordingPool(simulation.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+        config = small_config(n_trials=simulation._TRIAL_CHUNK + 1, n_iterations=20)
+        run_experiment(config, workers=4)
+        assert sizes == [2]
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, small_config, workers):
