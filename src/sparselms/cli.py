@@ -122,16 +122,34 @@ def _naming_keys(sections):
     try:
         yield
     except ParameterError as exc:
-        field = str(exc).partition(" ")[0]
+        field, _, rest = str(exc).partition(" ")
         for name, keys in sections.items():
             for key, key_field in keys.items():
                 if key_field == field:
-                    raise ConfigError(f"bad value for {key!r} in [{name}]: {exc}") from exc
+                    raise ConfigError(f"bad value for {key!r} in [{name}]: {key} {rest}") from exc
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
-def parse_config(path):
-    """Read and validate a config file into a SimConfig."""
+def _algorithm(parser, name):
+    """The spec of algorithm ``name`` with the hyperparameters its
+    ``[algorithm.<name>]`` section of ``parser`` gives, if any."""
+    try:
+        spec = AlgorithmSpec.from_name(name)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    section, keys = f"algorithm.{name}", _algorithm_keys(spec)
+    with _naming_keys({section: keys}):
+        return replace(spec, **_read(parser, section, keys, spec))
+
+
+def parse_config(path, run=None, algorithms=None):
+    """Read and validate a config file into a SimConfig.
+
+    ``run`` maps ``[run]`` keys to values that replace the file's, read as if
+    the file held them.  ``algorithms`` names the algorithms to run, in
+    order, in place of the file's ``[algorithm.*]`` sections; a name without
+    a section runs at its defaults.  Every section is validated either way.
+    """
     # no [DEFAULT] section: its keys would be copied into every section
     parser = configparser.ConfigParser(interpolation=None, default_section=None)
     try:
@@ -141,48 +159,30 @@ def parse_config(path):
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    if run:
+        parser.read_dict({"run": run})
 
     references = {"channel": _REFERENCE, "noise": _REFERENCE.noise, "run": _REFERENCE}
     fields = {name: _read(parser, name, keys, references[name])
               for name, keys in SECTIONS.items()}
-    algorithms = []
+    names = []
     for section in parser.sections():
         if section in SECTIONS:
             continue
-        prefix, _, alg_name = section.partition(".")
-        if prefix != "algorithm" or not alg_name:
+        prefix, _, name = section.partition(".")
+        if prefix != "algorithm" or not name:
             raise ConfigError(f"unknown section [{section}]")
-        try:
-            spec = AlgorithmSpec.from_name(alg_name)
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
-        keys = _algorithm_keys(spec)
-        with _naming_keys({section: keys}):
-            algorithms.append(replace(spec, **_read(parser, section, keys, spec)))
-
-    if not algorithms:
+        names.append(name)
+    if not names:
         raise ConfigError("no [algorithm.*] sections configured")
+    specs = [_algorithm(parser, name) for name in names]
+    if algorithms is not None:
+        specs = [_algorithm(parser, name) for name in algorithms]
 
     with _naming_keys(SECTIONS):
         noise = AlphaStableParams(**fields["noise"]) if parser.has_section("noise") else None
         return SimConfig(**fields["channel"], **fields["run"], noise=noise,
-                         algorithms=tuple(algorithms))
-
-
-def _select_algorithms(config, names_csv):
-    configured = {spec.name: spec for spec in config.algorithms}
-    selected = []
-    for name in names_csv.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        if name in configured:
-            selected.append(configured[name])
-        else:
-            selected.append(AlgorithmSpec.from_name(name))
-    if not selected:
-        raise ParameterError("empty algorithm selection")
-    return tuple(selected)
+                         algorithms=tuple(specs))
 
 
 def _write_manifest(path, config, **facts):
@@ -215,14 +215,10 @@ def cmd_run(args):
     try:
         if args.workers < 1:
             raise ParameterError(f"--workers must be >= 1, got {args.workers}")
-        config = parse_config(args.config)
         # --seed, --trials and --iterations are named as their [run] keys
-        overrides = {field: getattr(args, key) for key, field in SECTIONS["run"].items()
-                     if getattr(args, key, None) is not None}
-        if args.algorithms:
-            overrides["algorithms"] = _select_algorithms(config, args.algorithms)
-        if overrides:
-            config = replace(config, **overrides)
+        run = {key: getattr(args, key) for key in SECTIONS["run"]
+               if getattr(args, key, None) is not None}
+        config = parse_config(args.config, run=run, algorithms=args.algorithms)
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -303,11 +299,12 @@ def build_parser():
     run = sub.add_parser("run", help="run a Monte-Carlo experiment")
     run.add_argument("--config", required=True, help="experiment config file")
     run.add_argument("--out", required=True, help="output CSV path")
-    run.add_argument("--seed", type=int, default=None, help="override master seed")
-    run.add_argument("--trials", type=int, default=None, help="override trial count")
-    run.add_argument("--iterations", type=int, default=None, help="override iteration count")
-    run.add_argument("--algorithms", default=None,
-                     help="comma-separated algorithm names to run")
+    run.add_argument("--seed", help="override [run] seed")
+    run.add_argument("--trials", help="override [run] trials")
+    run.add_argument("--iterations", help="override [run] iterations")
+    run.add_argument("--algorithms", type=lambda text: [name.strip() for name in text.split(",")],
+                     help="comma-separated algorithm names to run; "
+                          "a name without a config section runs at its defaults")
     run.add_argument("--workers", type=int, default=1, help="parallel trial workers")
     run.set_defaults(func=cmd_run)
 

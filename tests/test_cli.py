@@ -296,6 +296,50 @@ class TestCmdRun:
                          "--algorithms", "slms-l0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--trials", "0", "trials"), ("--iterations", "0", "iterations"),
+        ("--seed", "-2", "seed"), ("--trials", "abc", "trials")])
+    def test_bad_run_flag_exits_2_naming_key(self, mini_path, tmp_path, capsys,
+                                             flag, value, key):
+        # a flag is read as its [run] key, with the file's messages
+        code = cli.main(["run", "--config", mini_path, "--out", str(tmp_path / "r.csv"),
+                         flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{key!r}" in err and "[run]" in err
+        for field in ("n_trials", "n_iterations", "master_seed"):
+            assert field not in err
+
+    @pytest.mark.parametrize("names,message", [("slms,slms", "duplicate"),
+                                               (",", "unknown algorithm name ''")])
+    def test_bad_algorithm_selection_exits_2(self, mini_path, tmp_path, capsys,
+                                             names, message):
+        code = cli.main(["run", "--config", mini_path, "--out", str(tmp_path / "r.csv"),
+                         "--algorithms", names])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_selected_algorithms_keep_their_sections(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(MINI_CONFIG.replace("lambda = 2e-4", "mu = 0.01\nlambda = 1e-3")
+                        + "\n[algorithm.lms]\nmu = 0.002\n")
+        out = str(tmp_path / "r.csv")
+        assert cli.main(["run", "--config", str(path), "--out", out,
+                         "--algorithms", "lms-za,slms-za"]) == 0
+        lines = [line for line in Path(out + ".manifest").read_text().splitlines()
+                 if line.startswith("algorithm.")]
+        # in flag order: lms-za has no section and runs at its defaults
+        assert lines == ["algorithm.lms-za.mu = 0.005", "algorithm.lms-za.lambda = 0.0002",
+                         "algorithm.slms-za.mu = 0.01", "algorithm.slms-za.lambda = 0.001"]
+
+    def test_unselected_section_is_still_validated(self, mini_path, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text(MINI_CONFIG + "\n[algorithm.lms]\nmu = -1\n")
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv"),
+                         "--algorithms", "slms"])
+        assert code == 2
+        assert "bad value for 'mu' in [algorithm.lms]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, mini_path, tmp_path, capsys, workers):
         out = tmp_path / "r.csv"
@@ -437,9 +481,13 @@ class TestReadme:
     """The README's config example and penalty table against the tables
     that the parser and the template derive from."""
 
-    def test_ini_example_equals_the_template(self):
+    def test_ini_example_equals_the_template(self, tmp_path):
         block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
-        readme = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+        # the example runs as written
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        parse_config(str(path))
+        readme = configparser.ConfigParser(interpolation=None)
         readme.read_string(block)
         template = configparser.ConfigParser(interpolation=None)
         template.read_string(cli.TEMPLATE)

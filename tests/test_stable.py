@@ -10,6 +10,11 @@ from sparselms import AlphaStableParams, ParameterError, characteristic_function
 
 CF_GRID = (0.1, 0.5, 1.0, 2.0)
 
+# (alpha, beta, gamma, delta) of the sampler's CDF check against scipy
+CDF_CASES = [(1.5, 0.5, 1.0, 0.0), (1.0, 0.5, 1.0, 0.0), (1.0, 0.5, 2.0, 0.0),
+             (0.8, -0.6, 0.5, 0.0), (1.2, 0.0, 1.0, 0.0), (1.0, 0.5, 2.0, 0.7),
+             (1.5, 0.5, 1.0, -0.4), (0.8, -0.6, 0.5, 1.3), (1.0, -0.8, 0.5, -1.1)]
+
 
 class TestCharacteristicFunction:
     def test_equals_one_at_zero(self):
@@ -140,15 +145,17 @@ class TestSampler:
             empirical = np.mean(np.exp(1j * t * z))
             assert abs(empirical - characteristic_function(params, t)) < 0.02
 
-    # scipy's default S1 parametrization has the opposite skew sign and the
-    # scale gamma**(1/alpha)
-    @pytest.mark.parametrize("alpha,beta,gamma", [
-        (1.5, 0.5, 1.0), (1.0, 0.5, 1.0), (1.0, 0.5, 2.0), (0.8, -0.6, 0.5), (1.2, 0.0, 1.0)])
-    def test_cdf_matches_scipy_levy_stable(self, alpha, beta, gamma):
+    # scipy's default S1 parametrization has the opposite skew sign, the
+    # scale gamma**(1/alpha) and the location delta
+    @pytest.mark.parametrize("alpha,beta,gamma,delta", CDF_CASES, ids=[
+        # an id names delta only where it is nonzero
+        "-".join(map(str, case if case[3] else case[:3])) for case in CDF_CASES])
+    def test_cdf_matches_scipy_levy_stable(self, alpha, beta, gamma, delta):
         levy_stable = scipy.stats.levy_stable
         assert levy_stable.parameterization == "S1"
-        z = sample(AlphaStableParams(alpha, beta, gamma), np.random.default_rng(5), size=200000)
+        z = sample(AlphaStableParams(alpha, beta, gamma, delta), np.random.default_rng(5),
+                   size=200000)
         x = np.array([-3.0, -1.0, -0.3, 0.3, 1.0, 3.0])
         empirical = np.mean(z[:, None] <= x, axis=0)
-        reference = levy_stable.cdf(x, alpha, -beta, scale=gamma ** (1.0 / alpha))
+        reference = levy_stable.cdf(x, alpha, -beta, loc=delta, scale=gamma ** (1.0 / alpha))
         assert np.max(np.abs(empirical - reference)) <= 0.01
