@@ -8,14 +8,14 @@ seeded Monte-Carlo harness that produces averaged learning curves.
 
 __version__ = "0.1.0"
 
-from .channel import (SparseChannel, TrainingSignal, generate_channel,
-                      generate_input, regressor)
+from .channel import (SparseChannel, generate_channel, generate_input,
+                      regressor)
 from .errors import DivergenceError, ParameterError
 from .filters import (AlgorithmSpec, FilterState, attractor, penalty_value,
                       step)
-from .simulation import (LearningCurve, Realization, SimConfig, TrialResult,
-                         apply_snr, derive_trial_seed, make_realization,
-                         run_experiment, run_trial)
+from .simulation import (LearningCurve, Realization, SimConfig, apply_snr,
+                         derive_trial_seed, make_realization, run_experiment,
+                         run_trial)
 from .stable import AlphaStableParams, characteristic_function, sample
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "Realization",
     "SimConfig",
     "SparseChannel",
-    "TrainingSignal",
-    "TrialResult",
     "apply_snr",
     "attractor",
     "characteristic_function",

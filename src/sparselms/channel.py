@@ -25,21 +25,11 @@ class SparseChannel:
     """A K-sparse unit-norm FIR tap vector.
 
     ``support`` holds the sorted indices of the nonzero taps; ``taps`` has
-    exactly ``sparsity`` nonzeros and unit Euclidean norm.
+    exactly ``support.size`` nonzeros and unit Euclidean norm.
     """
 
     taps: np.ndarray
     support: np.ndarray
-    n_taps: int
-    sparsity: int
-
-
-@dataclass
-class TrainingSignal:
-    """Input sequence plus its nominal mean-square power."""
-
-    samples: np.ndarray
-    power: float
 
 
 def generate_channel(n_taps, sparsity, rng):
@@ -54,11 +44,11 @@ def generate_channel(n_taps, sparsity, rng):
     support = np.sort(rng.choice(int(n_taps), size=int(sparsity), replace=False))
     values = rng.standard_normal(int(sparsity))
     taps[support] = values / np.linalg.norm(values)
-    return SparseChannel(taps=taps, support=support, n_taps=int(n_taps), sparsity=int(sparsity))
+    return SparseChannel(taps=taps, support=support)
 
 
 def generate_input(length, power, rng, kind="gaussian"):
-    """Generate the training sequence.
+    """Generate the training sequence as an array of ``length`` samples.
 
     ``kind`` is "gaussian" (zero-mean, variance = power) or "binary"
     (equiprobable +/-sqrt(power)).
@@ -69,20 +59,17 @@ def generate_input(length, power, rng, kind="gaussian"):
         raise ParameterError(f"power must be positive, got {power}")
     root = np.sqrt(power)
     if kind == "gaussian":
-        samples = rng.normal(0.0, root, int(length))
-    elif kind == "binary":
-        samples = root * (2.0 * rng.integers(0, 2, int(length)) - 1.0)
-    else:
-        raise ParameterError(f"unknown input kind {kind!r}")
-    return TrainingSignal(samples=samples, power=float(power))
+        return rng.normal(0.0, root, int(length))
+    if kind == "binary":
+        return root * (2.0 * rng.integers(0, 2, int(length)) - 1.0)
+    raise ParameterError(f"unknown input kind {kind!r}")
 
 
-def regressor(signal, n, n_taps):
-    """Delay-line vector [x(n), x(n-1), ..., x(n-N+1)] with zero prefix.
-
-    Entries for time indices before 0 are zero.
+def regressor(samples, n, n_taps):
+    """Delay-line vector [x(n), x(n-1), ..., x(n-N+1)] of the input
+    ``samples``, with zeros for time indices before 0.
     """
-    samples = signal.samples if isinstance(signal, TrainingSignal) else np.asarray(signal, dtype=float)
+    samples = np.asarray(samples, dtype=float)
     if not (0 <= n < samples.size):
         raise IndexError(f"time index {n} outside signal of length {samples.size}")
     x = np.zeros(int(n_taps))

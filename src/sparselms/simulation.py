@@ -31,12 +31,12 @@ keeping the filters in their stable operating range.
 import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (SparseChannel, TrainingSignal, delay_lines,
-                      generate_channel, generate_input)
+from .channel import (SparseChannel, delay_lines, generate_channel,
+                      generate_input)
 from .errors import ParameterError
 # step is not called here; it stays importable from this module because
 # benchmarks/layers.py patches simulation.step by name
@@ -115,20 +115,12 @@ class LearningCurve:
 
 
 @dataclass
-class TrialResult:
-    """Squared-error trace of a single (algorithm, trial) run."""
-
-    nmse: np.ndarray
-    diverged: bool
-    diverged_at: int | None = None
-
-
-@dataclass
 class Realization:
-    """The shared random draw all algorithms of one trial see."""
+    """The shared random draw all algorithms of one trial see: the channel,
+    and the training input and additive noise samples."""
 
     channel: SparseChannel
-    signal: TrainingSignal
+    signal: np.ndarray
     noise: np.ndarray
 
 
@@ -154,7 +146,7 @@ def apply_snr(config):
     noise = config.noise
     power = 2.0 * noise.gamma if noise.alpha == 2.0 else noise.gamma
     try:
-        return power, noise.scaled(10.0 ** (-config.snr_db / 10.0))
+        return power, replace(noise, gamma=noise.gamma * 10.0 ** (-config.snr_db / 10.0))
     except (OverflowError, ParameterError) as exc:
         raise ParameterError(
             f"snr_db = {config.snr_db} scales the noise dispersion gamma = {noise.gamma} "
@@ -183,14 +175,13 @@ def make_realization(config, trial_seed):
 def run_trial(config, spec, trial_seed):
     """Run one algorithm over one seeded realization.
 
-    Returns the per-iteration normalized squared error; on divergence the
-    remaining entries are NaN and the result is flagged.
+    Returns ``(nmse, diverged_at)``: the per-iteration normalized squared
+    error, NaN from the first non-finite update on, and that update's
+    index, or -1 if the filter did not diverge.
     """
     nmse, diverged_at = _filter_block((spec,), [make_realization(config, trial_seed)],
                                       config.n_iterations)
-    at = int(diverged_at[0, 0])
-    return TrialResult(nmse=nmse[0, 0], diverged=at >= 0,
-                       diverged_at=at if at >= 0 else None)
+    return nmse[0, 0], int(diverged_at[0, 0])
 
 
 def _filter_block(specs, realizations, n_iterations):
@@ -203,7 +194,7 @@ def _filter_block(specs, realizations, n_iterations):
     """
     rules = Rules(specs)
     truth = np.stack([r.channel.taps for r in realizations])
-    x = delay_lines(np.stack([r.signal.samples for r in realizations]), truth.shape[1])
+    x = delay_lines(np.stack([r.signal for r in realizations]), truth.shape[1])
     d = np.vecdot(x, truth[:, None, :]) + np.stack([r.noise for r in realizations])
     w = np.zeros((len(specs),) + truth.shape)
     w_prev = np.zeros_like(w)

@@ -36,7 +36,8 @@ class AlphaStableParams:
     Attributes
     ----------
     alpha : float
-        Characteristic exponent, in (0, 2].
+        Characteristic exponent, in [0.1, 2].  Below that, the sampler's
+        factor (cos(...)/W)**((1-alpha)/alpha) overflows (exponent 49 at 0.02).
     beta : float
         Symmetry parameter, in [-1, 1].  0 means symmetric noise.
     gamma : float
@@ -54,8 +55,8 @@ class AlphaStableParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
-            raise ParameterError(f"alpha must be in (0, 2], got {self.alpha}")
+        if not (0.1 <= self.alpha <= 2.0):
+            raise ParameterError(f"alpha must be in [0.1, 2], got {self.alpha}")
         if not (-1.0 <= self.beta <= 1.0):
             raise ParameterError(f"beta must be in [-1, 1], got {self.beta}")
         if not (np.isfinite(self.gamma) and self.gamma > 0.0):
@@ -76,10 +77,6 @@ class AlphaStableParams:
         """gamma**(1/alpha), the factor :func:`sample` multiplies its
         standard draws by."""
         return math.pow(self.gamma, 1.0 / self.alpha)
-
-    def scaled(self, factor):
-        """Return a copy with the dispersion multiplied by ``factor``."""
-        return AlphaStableParams(self.alpha, self.beta, self.gamma * factor, self.delta)
 
 
 def characteristic_function(params, t):

@@ -1,0 +1,44 @@
+"""The traced benchmark's library probes still run against the library.
+
+``benchmarks/layers.py`` reaches into sparselms by name (``run_trial``,
+``regressor``, ``Realization.signal``, ``SparseChannel.taps``, ...), so a
+library change can break ``bench.py --trace 1`` without failing any other
+test.  This runs its channel/filter and trial probes on a tiny config.
+"""
+
+import pathlib
+import sys
+
+import pytest
+
+from sparselms import AlgorithmSpec, AlphaStableParams, SimConfig
+
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+SRC = BENCHMARKS.parent / "src"
+
+
+@pytest.fixture(scope="module")
+def layers():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCHMARKS))
+        import layers
+        yield layers
+
+
+@pytest.fixture(scope="module")
+def probe_run(layers):
+    config = SimConfig(n_taps=8, sparsity=2, n_iterations=30, n_trials=2, snr_db=10.0,
+                       noise=AlphaStableParams(1.2),
+                       algorithms=(AlgorithmSpec.from_name("slms-za"),), master_seed=3)
+    mods, tracer = layers.Modules(SRC), layers.Tracer()
+    return {**layers.probe_channel_filters(mods, tracer, config, seed=1),
+            **layers.probe_trials(mods, tracer, config, config.n_trials)}
+
+
+def test_probes_return_every_metric(layers, probe_run):
+    expected = {name for name in layers.UNITS
+                if name.startswith(("channel.", "filters.", "simulation.make_realization",
+                                    "simulation.run_trial"))}
+    assert expected and expected <= probe_run.keys()
+    for name in expected - {"filters.updates"}:
+        assert probe_run[name] and all(v > 0 for v in probe_run[name]), name

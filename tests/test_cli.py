@@ -392,7 +392,7 @@ class TestCmdRun:
 
     @pytest.mark.parametrize("section,key,value", [
         ("channel", "n_taps", "many"), ("channel", "n_taps", "0"), ("channel", "sparsity", "0"),
-        ("noise", "alpha", "heavy"), ("noise", "beta", "2"),
+        ("noise", "alpha", "heavy"), ("noise", "alpha", "0.05"), ("noise", "beta", "2"),
         ("run", "iterations", "1e3"), ("run", "trials", "0"), ("run", "seed", "-1"),
         ("run", "snr_db", "nan"), ("run", "input", "morse"),
         ("algorithm.slms", "mu", "fast"), ("algorithm.slms", "mu", "-1"),
@@ -448,6 +448,7 @@ class TestValidateNoise:
 
     def test_domain_violation_exits_2(self):
         assert cli.main(["validate-noise", "--alpha", "0"]) == 2
+        assert cli.main(["validate-noise", "--alpha", "0.02"]) == 2
         assert cli.main(["validate-noise", "--alpha", "1.5", "--gamma", "-1"]) == 2
         assert cli.main(["validate-noise", "--alpha", "1.5", "--samples", "0"]) == 2
         assert cli.main(["validate-noise", "--alpha", "1.5", "--seed", "-1"]) == 2

@@ -86,6 +86,8 @@ class TestCharacteristicFunction:
     dict(alpha=1.5, delta=float("inf")), dict(alpha=1.5, delta=float("nan")),
     # the sample scale gamma**(1/alpha) overflows or underflows
     dict(alpha=0.1, gamma=1e300), dict(alpha=0.5, gamma=1e200), dict(alpha=0.1, gamma=1e-40),
+    # below the supported range: the sampler overflows at alpha = 0.02
+    dict(alpha=0.05), dict(alpha=0.02),
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ParameterError):
