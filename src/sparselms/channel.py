@@ -19,6 +19,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError
 
+# the training-input distributions generate_input draws from
+INPUT_KINDS = ("gaussian", "binary")
+
 
 @dataclass
 class SparseChannel:
@@ -62,7 +65,7 @@ def generate_input(length, power, rng, kind="gaussian"):
         return rng.normal(0.0, root, int(length))
     if kind == "binary":
         return root * (2.0 * rng.integers(0, 2, int(length)) - 1.0)
-    raise ParameterError(f"unknown input kind {kind!r}")
+    raise ParameterError(f"unknown input kind {kind!r}, expected one of {INPUT_KINDS}")
 
 
 def regressor(samples, n, n_taps):

@@ -241,7 +241,7 @@ def cmd_run(args):
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    dead = [c.algorithm for c in curves if c.trials_completed == 0]
+    dead = [c.algorithm for c in curves if c.trials_diverged == config.n_trials]
     if dead:
         print(f"error: all trials diverged for: {', '.join(dead)}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -15,9 +15,10 @@ decibels,
 
     MSE(n) = 10*log10( (1/M) * sum_m ||w_m(n) - w||^2 / ||w||^2 ),
 
-floored at -100 dB.  Trials whose filter blows up (non-finite coefficients)
-are excluded from the average and reported in ``trials_diverged``; the plain
-gradient LMS is expected to do exactly that under heavy-tailed noise.
+floored at -100 dB.  A trial diverges at the first non-finite value of its
+normalized squared error; trials that diverge are excluded from the average
+and counted in ``trials_diverged``.  The plain gradient LMS is expected to do
+exactly that under heavy-tailed noise.
 
 SNR convention: the nominal noise parameters keep their configured
 dispersion while the training-signal power is matched to it (power = 2*gamma
@@ -35,8 +36,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (SparseChannel, delay_lines, generate_channel,
-                      generate_input)
+from .channel import (INPUT_KINDS, SparseChannel, delay_lines,
+                      generate_channel, generate_input)
 from .errors import ParameterError
 # step is not called here; it stays importable from this module because
 # benchmarks/layers.py patches simulation.step by name
@@ -84,9 +85,9 @@ class SimConfig:
             raise ParameterError(f"snr_db must be finite, got {self.snr_db}")
         if self.master_seed < 0:
             raise ParameterError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.input_kind not in ("gaussian", "binary"):
-            raise ParameterError(
-                f"input_kind must be 'gaussian' or 'binary', got {self.input_kind!r}")
+        if self.input_kind not in INPUT_KINDS:
+            raise ParameterError(f"input_kind must be {' or '.join(map(repr, INPUT_KINDS))}, "
+                                 f"got {self.input_kind!r}")
         self.algorithms = tuple(self.algorithms)
         if not self.algorithms:
             raise ParameterError("algorithms must not be empty")
@@ -104,13 +105,13 @@ class SimConfig:
 class LearningCurve:
     """Per-iteration averaged MSE (dB) for one algorithm.
 
-    ``mse_db`` is all-NaN in the degenerate case where every trial
-    diverged; otherwise every entry is finite (floored at -100 dB).
+    ``mse_db`` averages the ``n_trials - trials_diverged`` completed trials,
+    floored at -100 dB; it is all-NaN in the degenerate case where every
+    trial diverged.
     """
 
     algorithm: str
     mse_db: np.ndarray
-    trials_completed: int
     trials_diverged: int
 
 
@@ -176,21 +177,20 @@ def run_trial(config, spec, trial_seed):
     """Run one algorithm over one seeded realization.
 
     Returns ``(nmse, diverged_at)``: the per-iteration normalized squared
-    error, NaN from the first non-finite update on, and that update's
-    index, or -1 if the filter did not diverge.
+    error, NaN from its first non-finite value on, and that value's index,
+    or -1 if the filter did not diverge.
     """
-    nmse, diverged_at = _filter_block((spec,), [make_realization(config, trial_seed)],
-                                      config.n_iterations)
+    nmse, diverged_at = _filter_block((spec,), [make_realization(config, trial_seed)])
     return nmse[0, 0], int(diverged_at[0, 0])
 
 
-def _filter_block(specs, realizations, n_iterations):
+def _filter_block(specs, realizations):
     """Run every algorithm over every realization, one sample per step.
 
     Returns ``(nmse, diverged_at)`` with rows in ``specs`` order:
     ``nmse[a, m]`` is the normalized squared-error trace of algorithm ``a``
-    on realization ``m``, NaN from the first non-finite update on, and
-    ``diverged_at[a, m]`` that update's index, or -1.
+    on realization ``m``, NaN from its first non-finite value on, and
+    ``diverged_at[a, m]`` that value's index, or -1.
     """
     rules = Rules(specs)
     truth = np.stack([r.channel.taps for r in realizations])
@@ -198,24 +198,21 @@ def _filter_block(specs, realizations, n_iterations):
     d = np.vecdot(x, truth[:, None, :]) + np.stack([r.noise for r in realizations])
     w = np.zeros((len(specs),) + truth.shape)
     w_prev = np.zeros_like(w)
-    sq = np.empty((n_iterations,) + w.shape[:2])
-    diverged_at = np.full(w.shape[:2], -1)
+    sq = np.empty((x.shape[1],) + w.shape[:2])
     # overflow is the anticipated divergence mode of the gradient family;
     # diverged rows run on harmlessly and their traces are blanked below
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_iterations):
+        for n in range(len(sq)):
             w, w_prev = rules.advance(w, w_prev, x[:, n], d[:, n]), w
             diff = w - truth
             np.vecdot(diff, diff, out=sq[n])
-            # a non-finite coefficient makes its row's squared error
-            # non-finite; only then are the coefficients themselves checked
-            if not np.isfinite(sq[n]).all():
-                diverged_at[(diverged_at < 0) & ~np.isfinite(w).all(axis=-1)] = n
-    sq /= np.vecdot(truth, truth)
-    nmse = np.moveaxis(sq, 0, -1)
-    for a, m in zip(*np.nonzero(diverged_at >= 0)):
-        nmse[a, m, diverged_at[a, m]:] = np.nan
-    return nmse, diverged_at
+        sq /= np.vecdot(truth, truth)
+    # a row diverges at the first non-finite value of the trace it averages
+    blown = ~np.isfinite(sq)
+    np.logical_or.accumulate(blown, axis=0, out=blown)
+    sq[blown] = np.nan
+    diverged_at = np.where(blown[-1], blown.argmax(axis=0), -1)
+    return np.moveaxis(sq, 0, -1), diverged_at
 
 
 def _trial_worker(args):
@@ -224,7 +221,7 @@ def _trial_worker(args):
     config, start, stop = args
     realizations = [make_realization(config, derive_trial_seed(config.master_seed, m))
                     for m in range(start, stop)]
-    return _filter_block(config.algorithms, realizations, config.n_iterations)
+    return _filter_block(config.algorithms, realizations)
 
 
 def run_experiment(config, workers=1):
@@ -238,7 +235,7 @@ def run_experiment(config, workers=1):
     names = [spec.name for spec in config.algorithms]
     # running sums over the completed trials, added in trial order
     sums = np.zeros((len(names), config.n_iterations))
-    completed = np.zeros(len(names), dtype=int)
+    diverged = np.zeros(len(names), dtype=int)
 
     jobs = [(config, start, min(start + _TRIAL_CHUNK, config.n_trials))
             for start in range(0, config.n_trials, _TRIAL_CHUNK)]
@@ -253,16 +250,15 @@ def run_experiment(config, workers=1):
         for nmse, diverged_at in results:
             for a, m in zip(*np.nonzero(diverged_at < 0)):
                 sums[a] += nmse[a, m]
-                completed[a] += 1
+            diverged += np.count_nonzero(diverged_at >= 0, axis=1)
 
     curves = []
     for a, name in enumerate(names):
-        n_ok = int(completed[a])
+        n_ok = config.n_trials - int(diverged[a])
         if n_ok == 0:
             curve = np.full(config.n_iterations, np.nan)
         else:
             curve = 10.0 * np.log10(np.maximum(sums[a] / n_ok, _FLOOR_RATIO))
         curves.append(LearningCurve(algorithm=name, mse_db=curve,
-                                    trials_completed=n_ok,
-                                    trials_diverged=config.n_trials - n_ok))
+                                    trials_diverged=int(diverged[a])))
     return curves

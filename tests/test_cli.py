@@ -204,6 +204,23 @@ class TestSections:
 
 
 class TestCmdRun:
+    def test_late_divergence_is_counted_not_averaged_as_inf(self, tmp_path, capsys):
+        # lms-za at mu = 0.8 overflows its squared error in every trial,
+        # 75-290 updates before any coefficient is non-finite
+        config = tmp_path / "late.ini"
+        config.write_text(
+            "[channel]\nn_taps = 32\nsparsity = 4\n\n[noise]\nalpha = 1.0\n\n"
+            "[run]\niterations = 600\ntrials = 20\nsnr_db = 0.0\nseed = 7\n"
+            "input = binary\n\n[algorithm.lms-za]\nmu = 0.8\n\n[algorithm.slms-za]\n")
+        out = tmp_path / "r.csv"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 3
+        assert "all trials diverged for: lms-za" in capsys.readouterr().err
+        text = out.read_text()
+        assert "inf" not in text
+        diverged = {line.split(",")[0]: line.split(",")[3]
+                    for line in text.splitlines()[1:]}
+        assert diverged == {"lms-za": "20", "slms-za": "0"}
+
     def test_row_count_and_header(self, mini_path, tmp_path):
         out = str(tmp_path / "r.csv")
         code = cli.main(["run", "--config", mini_path, "--out", out,

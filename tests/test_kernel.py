@@ -7,8 +7,12 @@ the reference below runs one algorithm on one trial with ``regressor`` and
 turn a 1-ulp difference into large errors.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselms import (AlgorithmSpec, AlphaStableParams, DivergenceError,
                        FilterState, SimConfig, derive_trial_seed,
@@ -20,16 +24,20 @@ ALL_NAMES = ("lms", "slms", "lms-za", "slms-za", "lms-rza", "slms-rza",
              "lms-rl1", "slms-rl1", "lms-lp", "slms-lp")
 
 
-def loop_trial(spec, realization, n_iterations):
-    """(nmse, diverged_at) of one algorithm on one realization, per sample."""
+def loop_trial(spec, realization):
+    """(nmse, diverged_at) of one algorithm on one realization, per sample.
+
+    The trial diverges at its first non-finite normalized squared error; a
+    diverging filter overflows that error before any coefficient is
+    non-finite, and ``step`` raises on a non-finite coefficient, whose
+    squared error would be non-finite too.
+    """
     truth = realization.channel.taps
     denom = float(truth @ truth)
     state = FilterState.zeros(truth.size)
-    nmse = np.full(n_iterations, np.nan)
-    # a diverging filter may overflow the squared error before any
-    # coefficient is non-finite
+    nmse = np.full(realization.signal.size, np.nan)
     with np.errstate(over="ignore"):
-        for n in range(n_iterations):
+        for n in range(nmse.size):
             x = regressor(realization.signal, n, truth.size)
             d = float(truth @ x) + realization.noise[n]
             try:
@@ -37,7 +45,10 @@ def loop_trial(spec, realization, n_iterations):
             except DivergenceError as exc:
                 return nmse, exc.iteration
             diff = state.w - truth
-            nmse[n] = float(diff @ diff) / denom
+            value = float(diff @ diff) / denom
+            if not math.isfinite(value):
+                return nmse, n
+            nmse[n] = value
     return nmse, -1
 
 
@@ -64,11 +75,11 @@ def step_0_1_0(spec, w, w_prev, x, d):
 def assert_block_matches_loop(config, specs, trials):
     realizations = [make_realization(config, derive_trial_seed(config.master_seed, m))
                     for m in trials]
-    nmse, diverged_at = _filter_block(specs, realizations, config.n_iterations)
+    nmse, diverged_at = _filter_block(specs, realizations)
     assert nmse.shape == (len(specs), len(trials), config.n_iterations)
     for a, spec in enumerate(specs):
         for m, real in enumerate(realizations):
-            expected, at = loop_trial(spec, real, config.n_iterations)
+            expected, at = loop_trial(spec, real)
             assert diverged_at[a, m] == at, (spec.name, m)
             assert np.array_equal(nmse[a, m], expected, equal_nan=True), (spec.name, m)
     return diverged_at
@@ -129,9 +140,9 @@ def test_same_penalty_with_different_hyperparameters():
 
 
 def test_divergence_index_and_nan_tail():
-    # mu = 50 blows up every trial; mu = 0.8 only some of them, late
+    # mu = 50 blows up every trial; mu = 0.35 only some of them, late
     specs = (AlgorithmSpec(family="gradient", mu=50.0),
-             AlgorithmSpec(family="gradient", penalty="lp", mu=0.8),
+             AlgorithmSpec(family="gradient", penalty="lp", mu=0.35),
              AlgorithmSpec(family="sign", penalty="lp", mu=0.8))
     config = _config(n_taps=32, noise=AlphaStableParams(1.0), snr_db=0.0, n_iterations=600)
     diverged_at = assert_block_matches_loop(config, specs, range(8))
@@ -152,15 +163,18 @@ def chunked():
     """A config of more trials than one chunk, not a multiple of the chunk
     size, and its curves from the per-sample loop."""
     specs = (AlgorithmSpec.from_name("slms-za"), AlgorithmSpec.from_name("lms-rl1"),
-             AlgorithmSpec(family="gradient", penalty="za", mu=0.8))
+             AlgorithmSpec(family="gradient", penalty="za", mu=0.35))
     config = _config(n_taps=32, noise=AlphaStableParams(1.0), snr_db=0.0,
                      n_iterations=600, n_trials=_TRIAL_CHUNK + 3, algorithms=specs)
     realizations = [make_realization(config, derive_trial_seed(config.master_seed, m))
                     for m in range(config.n_trials)]
     expected = []
     for spec in specs:
-        runs = [loop_trial(spec, real, config.n_iterations) for real in realizations]
+        runs = [loop_trial(spec, real) for real in realizations]
         kept = np.array([nmse for nmse, at in runs if at < 0])
+        if spec is specs[-1]:
+            # the last spec exists to mix diverged and completed trials
+            assert 0 < len(kept) < config.n_trials, len(kept)
         curve = 10.0 * np.log10(np.maximum(kept.mean(axis=0), 1e-10))
         expected.append((spec.name, curve, config.n_trials - len(kept)))
     return config, expected
@@ -175,3 +189,26 @@ def test_chunked_experiment_matches_loop(chunked, workers):
         assert curve.trials_diverged == trials_diverged
         assert np.array_equal(curve.mse_db, mse_db)
     assert 0 < curves[2].trials_diverged < config.n_trials
+
+
+@settings(max_examples=25, deadline=None)
+@given(mu=st.floats(0.5, 5.0), alpha=st.floats(0.8, 1.5),
+       n_taps=st.integers(8, 32), n_iterations=st.integers(1, 300),
+       n_trials=st.integers(1, 4), penalty=st.sampled_from(["none", "za", "rza", "rl1", "lp"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_divergence_is_the_first_non_finite_value(mu, alpha, n_taps, n_iterations,
+                                                  n_trials, penalty, seed):
+    # a row is either all finite with diverged_at = -1, or finite before
+    # diverged_at and NaN from it on
+    spec = AlgorithmSpec(family="gradient", penalty=penalty, mu=mu)
+    config = _config(n_taps=n_taps, n_iterations=n_iterations,
+                     noise=AlphaStableParams(alpha), snr_db=0.0, master_seed=seed)
+    realizations = [make_realization(config, derive_trial_seed(seed, m))
+                    for m in range(n_trials)]
+    nmse, diverged_at = _filter_block((spec,), realizations)
+    for trace, at in zip(nmse[0], diverged_at[0]):
+        if at < 0:
+            assert np.all(np.isfinite(trace))
+        else:
+            assert np.all(np.isfinite(trace[:at]))
+            assert np.all(np.isnan(trace[at:]))

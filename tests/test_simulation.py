@@ -128,8 +128,8 @@ class TestRunTrial:
         assert 0 <= diverged_at < config.n_iterations
         assert np.all(np.isnan(nmse[diverged_at:]))
         # the squared error overflows to inf many updates before a
-        # coefficient does; the index marks the first non-finite coefficient
-        assert not np.any(np.isnan(nmse[:diverged_at]))
+        # coefficient does; the index marks the first non-finite error
+        assert np.all(np.isfinite(nmse[:diverged_at]))
         assert np.isfinite(nmse[0])
 
     def test_zero_iterations_rejected(self, small_config):
@@ -167,7 +167,6 @@ class TestRunExperiment:
         manual = 10 * np.log10(np.maximum(
             np.mean([nmse for nmse, _ in trials], axis=0), 1e-10))
         np.testing.assert_allclose(curves[0].mse_db, manual, atol=1e-12)
-        assert curves[0].trials_completed == 2
         assert curves[0].trials_diverged == 0
 
     def test_permuting_algorithms_permutes_output(self, small_config):
@@ -194,8 +193,7 @@ class TestRunExperiment:
         for cs, cp in zip(serial, parallel):
             assert cs.algorithm == cp.algorithm
             assert np.array_equal(cs.mse_db, cp.mse_db)
-            assert (cs.trials_completed, cs.trials_diverged) == \
-                   (cp.trials_completed, cp.trials_diverged)
+            assert cs.trials_diverged == cp.trials_diverged
 
     def test_pool_no_larger_than_job_list(self, small_config, monkeypatch):
         sizes = []
@@ -239,7 +237,6 @@ class TestRunExperiment:
             algorithms=(AlgorithmSpec(family="gradient", penalty="none", mu=50.0),),
             n_trials=3, n_iterations=300)
         curve = run_experiment(config)[0]
-        assert curve.trials_completed == 0
         assert curve.trials_diverged == 3
         assert np.all(np.isnan(curve.mse_db))
 
@@ -247,7 +244,7 @@ class TestRunExperiment:
         config = small_config(n_trials=3, n_iterations=80,
                               algorithms=_specs("slms", "slms-rl1"))
         for curve in run_experiment(config):
-            assert curve.trials_completed > 0
+            assert curve.trials_diverged < config.n_trials
             assert np.all(np.isfinite(curve.mse_db))
             assert np.all(curve.mse_db >= -100.0)
 
