@@ -3,7 +3,8 @@
 ``benchmarks/layers.py`` reaches into sparselms by name (``run_trial``,
 ``regressor``, ``Realization.signal``, ``SparseChannel.taps``, ...), so a
 library change can break ``bench.py --trace 1`` without failing any other
-test.  This runs its channel/filter and trial probes on a tiny config.
+test.  This runs its channel/filter and trial probes on a tiny config, its
+stable probe, and one small traced ``validate-noise``.
 """
 
 import pathlib
@@ -42,3 +43,25 @@ def test_probes_return_every_metric(layers, probe_run):
     assert expected and expected <= probe_run.keys()
     for name in expected - {"filters.updates"}:
         assert probe_run[name] and all(v > 0 for v in probe_run[name]), name
+
+
+def test_stable_probe_returns_every_metric(layers):
+    mods, tracer = layers.Modules(SRC), layers.Tracer()
+    out = layers.probe_stable(mods, tracer, seed=1)
+    expected = {name for name in layers.UNITS if name.startswith("stable.")}
+    assert expected and expected <= out.keys()
+    for name in expected:
+        assert out[name] and all(v > 0 for v in out[name]), name
+
+
+def test_traced_validate_noise_spans_sampling(layers, tmp_path):
+    # cli.validate_noise.cf_check_s is the command's time outside its
+    # stable.sample spans, so a sample call the trace misses would count as
+    # CF check time
+    mods, tracer, checks = layers.Modules(SRC), layers.Tracer(), layers.Checks()
+    noise = layers.wl.NoiseWorkload(name="tiny_noise", alpha=1.2, beta=0.5, samples=20_000)
+    args, check, _ = layers.wl.prepare(noise, 1, tmp_path)
+    _, root = layers._run_traced_command(mods, tracer, checks, noise.name, args, check)
+    assert tracer.names[tracer.name_id[root]] == "cli.main.validate_noise"
+    assert [tracer.parent[k] for k in tracer.indices("stable.sample")] == [root]
+    assert checks.failed == 0, checks.problems

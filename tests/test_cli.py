@@ -1,5 +1,6 @@
 import configparser
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from sparselms import AlgorithmSpec, AlphaStableParams, SimConfig, cli
 from sparselms.cli import ConfigError, parse_config
 from sparselms.filters import PENALTY_PARAMS
+from sparselms.stable import BLOCK, sample
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -469,6 +471,54 @@ class TestValidateNoise:
         assert cli.main(["validate-noise", "--alpha", "1.5", "--gamma", "-1"]) == 2
         assert cli.main(["validate-noise", "--alpha", "1.5", "--samples", "0"]) == 2
         assert cli.main(["validate-noise", "--alpha", "1.5", "--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.2, 2.0])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, -1.0])
+    @pytest.mark.parametrize("n", [BLOCK - 1, 2 * BLOCK + 3])
+    def test_empirical_cf_matches_direct_mean(self, alpha, beta, n):
+        draws = sample(AlphaStableParams(alpha, beta), np.random.default_rng(6), size=n)
+        blocked = cli._empirical_cf(draws)
+        assert len(blocked) == len(cli.CF_GRID)
+        for t, value in zip(cli.CF_GRID, blocked):
+            assert abs(value - np.mean(np.exp(1j * t * draws))) <= 1e-12, t
+
+    # stdout of the check as it printed before the CF was summed over blocks
+    @pytest.mark.parametrize("argv,expected", [
+        (["--alpha", "0.5", "--beta", "-0.3", "--samples", "300000", "--seed", "4"], """\
+alpha=0.5 beta=-0.3 gamma=1.0 delta=0.0 samples=300000 seed=4
+     t   |empirical|    |analytic|     |error|
+  0.10      0.728999      0.728893    0.000461
+  0.50      0.491628      0.493069    0.001484
+  1.00      0.368033      0.367879    0.000398
+  2.00      0.244435      0.243117    0.001340
+verdict: PASS (tolerance 0.02)
+"""),
+        (["--alpha", "1.0", "--beta", "0.5", "--samples", "300000", "--seed", "2"], """\
+alpha=1.0 beta=0.5 gamma=1.0 delta=0.0 samples=300000 seed=2
+     t   |empirical|    |analytic|     |error|
+  0.10      0.904914      0.904837    0.000078
+  0.50      0.605925      0.606531    0.000638
+  1.00      0.366324      0.367879    0.001912
+  2.00      0.135603      0.135335    0.000442
+verdict: PASS (tolerance 0.02)
+"""),
+    ])
+    def test_output_is_unchanged(self, capsys, argv, expected):
+        assert cli.main(["validate-noise", *argv]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_peak_memory_below_four_draw_arrays(self, capsys):
+        samples = 1_000_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = cli.main(["validate-noise", "--alpha", "1.2", "--beta", "0.5",
+                             "--samples", str(samples)])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * 8 * samples, f"peak {peak / 2**20:.1f} MiB"
 
     # the sample scale gamma**(1/alpha) overflows, or underflows to 0, which
     # would sample all-zero draws

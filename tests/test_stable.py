@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sparselms import AlphaStableParams, ParameterError, characteristic_function, sample
-
-CF_GRID = (0.1, 0.5, 1.0, 2.0)
+from sparselms.cli import CF_GRID
+from sparselms.stable import BLOCK
 
 # (alpha, beta, gamma, delta) of the sampler's CDF check against scipy
 CDF_CASES = [(1.5, 0.5, 1.0, 0.0), (1.0, 0.5, 1.0, 0.0), (1.0, 0.5, 2.0, 0.0),
@@ -99,6 +99,54 @@ def test_invalid_params_rejected(kwargs):
 def test_non_finite_scale_and_location_rejected(field, value):
     with pytest.raises(ParameterError, match=field):
         AlphaStableParams(alpha=1.5, **{field: value})
+
+
+def whole_array_sample(params, rng, size=None):
+    """The sampler as one whole-array evaluation of the CMS transform: the
+    oracle for the blocked one."""
+    a, g, d = params.alpha, params.gamma, params.delta
+    b = -params.beta
+
+    scalar = size is None
+    n = 1 if scalar else size
+    v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, n)
+    w = rng.standard_exponential(n)
+
+    if a == 1.0:
+        bv = np.pi / 2.0 + b * v
+        x = (2.0 / np.pi) * (bv * np.tan(v) - b * np.log((np.pi / 2.0) * w * np.cos(v) / bv))
+        out = g * x + d + (2.0 / np.pi) * b * g * np.log(g)
+    else:
+        if b == 0.0:
+            x = (np.sin(a * v) / np.cos(v) ** (1.0 / a)
+                 * (np.cos((1.0 - a) * v) / w) ** ((1.0 - a) / a))
+        else:
+            bt = b * np.tan(a * np.pi / 2.0)
+            shift = np.arctan(bt) / a
+            scale = (1.0 + bt * bt) ** (1.0 / (2.0 * a))
+            x = (scale * np.sin(a * (v + shift)) / np.cos(v) ** (1.0 / a)
+                 * (np.cos(v - a * (v + shift)) / w) ** ((1.0 - a) / a))
+        out = params.scale * x + d
+
+    return float(out[0]) if scalar else out
+
+
+# the four branches of the transform (alpha = 1 skewed, symmetric, skewed,
+# alpha = 2), each also at a non-default gamma and delta
+BRANCHES = [AlphaStableParams(*p) for p in [
+    (1.0, 0.5), (1.2, 0.0), (1.2, 0.5), (2.0, 0.0),
+    (1.0, -0.7, 2.5, -1.3), (0.7, 0.0, 0.4, 2.0), (1.6, 1.0, 3.0, 0.5), (2.0, 0.0, 0.5, -4.0)]]
+
+
+@pytest.mark.parametrize("params", BRANCHES, ids=lambda p: f"{p.alpha}-{p.beta}-{p.gamma}-{p.delta}")
+@pytest.mark.parametrize("size", [None, 0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7,
+                                  (3, BLOCK // 2 + 5)])
+def test_blocked_sampler_is_bit_identical_to_whole_array(params, size):
+    blocked = sample(params, np.random.default_rng(8), size=size)
+    whole = whole_array_sample(params, np.random.default_rng(8), size=size)
+    assert type(blocked) is type(whole)
+    assert np.shape(blocked) == np.shape(whole)
+    assert np.array_equal(blocked, whole)
 
 
 class TestSampler:
