@@ -29,7 +29,7 @@ from . import __version__
 from .errors import ParameterError
 from .filters import FAMILIES, PENALTY_PARAMS, AlgorithmSpec
 from .simulation import SimConfig, run_experiment
-from .stable import BLOCK, AlphaStableParams, characteristic_function, sample
+from .stable import CF_GRID, AlphaStableParams, characteristic_function, empirical_cf, sample
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,10 +38,7 @@ EXIT_IO = 4
 
 CSV_HEADER = "algorithm,iteration,mse_db,trials_diverged"
 
-# agreement grid and tolerance for validate-noise.  The grid is 0.1*k for
-# k = 1, 5, 10, 20, so every exp(j*t*x) is a power of exp(j*0.1*x), which
-# _empirical_cf reaches by complex multiplication
-CF_GRID = (0.1, 0.5, 1.0, 2.0)
+# largest |empirical - analytic| CF error at which validate-noise passes
 CF_TOLERANCE = 0.02
 
 
@@ -225,6 +222,14 @@ def cmd_run(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # create both output files first, so an unwritable --out fails before the run
+    try:
+        for path in (args.out, args.out + ".manifest"):
+            open(path, "w").close()
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO
+
     started = _utc_now()
     try:
         curves = run_experiment(config, workers=args.workers)
@@ -250,33 +255,6 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def _empirical_cf(draws):
-    """Mean of exp(j*t*draws) at each t of CF_GRID, summed over blocks of draws.
-
-    z = exp(j*0.1*x) is written into the real and imaginary parts of one
-    complex block by one cosine and one sine; z**5 = (z**2)**2 * z, and
-    z**10 and z**20 are squares in turn.
-    """
-    z = np.empty(min(draws.size, BLOCK), dtype=complex)
-    zk = np.empty_like(z)
-    sums = [0j] * len(CF_GRID)
-    for start in range(0, draws.size, BLOCK):
-        phase = CF_GRID[0] * draws[start:start + BLOCK]
-        zb, zkb = z[:phase.size], zk[:phase.size]
-        np.cos(phase, out=zb.real)
-        np.sin(phase, out=zb.imag)
-        sums[0] += zb.sum()
-        np.multiply(zb, zb, out=zkb)
-        np.multiply(zkb, zkb, out=zkb)
-        np.multiply(zkb, zb, out=zkb)
-        sums[1] += zkb.sum()
-        np.multiply(zkb, zkb, out=zkb)
-        sums[2] += zkb.sum()
-        np.multiply(zkb, zkb, out=zkb)
-        sums[3] += zkb.sum()
-    return [complex(s / draws.size) for s in sums]
-
-
 def cmd_validate_noise(args):
     try:
         params = AlphaStableParams(alpha=args.alpha, beta=args.beta,
@@ -295,7 +273,7 @@ def cmd_validate_noise(args):
           f"delta={params.delta} samples={args.samples} seed={args.seed}")
     print(f"{'t':>6}  {'|empirical|':>12}  {'|analytic|':>12}  {'|error|':>10}")
     ok = True
-    for t, empirical in zip(CF_GRID, _empirical_cf(draws)):
+    for t, empirical in zip(CF_GRID, empirical_cf(draws)):
         analytic = characteristic_function(params, t)
         err = abs(empirical - analytic)
         ok &= err <= CF_TOLERANCE

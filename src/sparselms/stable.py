@@ -29,9 +29,14 @@ from .errors import ParameterError
 _LOG_CLAMP = 1e-300
 
 # draws per block of an elementwise pass over a sample (the CMS transform
-# here, the empirical CF in ``cli``): 2**16 float64 values are 512 KiB, so
-# a block and its few temporaries stay in cache
+# and the empirical CF): 2**16 float64 values are 512 KiB, so a block and
+# its few temporaries stay in cache
 BLOCK = 1 << 16
+
+# points at which validate-noise compares the empirical CF with the model.
+# The grid is 0.1*k for k = 1, 5, 10, 20, so every exp(j*t*x) is a power of
+# exp(j*0.1*x), which empirical_cf reaches by complex multiplication
+CF_GRID = (0.1, 0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -134,22 +139,20 @@ def sample(params, rng, size=None):
     the characteristic function convention used by
     :func:`characteristic_function`.
 
-    All of V, then all of W, are drawn from ``rng`` at once, so the stream
-    does not depend on the block size; the elementwise transform then runs
-    over blocks of ``BLOCK`` draws into the output, whose every element is
+    All of V is drawn into the array that is returned.  Then, block by
+    block of ``BLOCK`` draws, that block's W is drawn and the block is
+    overwritten by its transform.  Exponentials drawn in consecutive blocks
+    are those of one whole draw, so the stream and the generator's final
+    state do not depend on the block size, and every element is
     bit-identical to a whole-array evaluation.  Beside the result, the peak
-    is V, W and one block's temporaries.
+    is one block's W and temporaries.
     """
     scalar = size is None
-    n = 1 if scalar else size
-    v = rng.uniform(-np.pi / 2.0, np.pi / 2.0, n)
-    w = rng.standard_exponential(n)
-
-    out = np.empty_like(v)
-    flat_v, flat_w, flat_out = v.reshape(-1), w.reshape(-1), out.reshape(-1)
-    for start in range(0, flat_out.size, BLOCK):
-        block = slice(start, start + BLOCK)
-        flat_out[block] = _cms(params, flat_v[block], flat_w[block])
+    out = rng.uniform(-np.pi / 2.0, np.pi / 2.0, 1 if scalar else size)
+    v = out.reshape(-1)
+    for start in range(0, v.size, BLOCK):
+        block = v[start:start + BLOCK]
+        block[...] = _cms(params, block, rng.standard_exponential(block.size))
     return float(out[0]) if scalar else out
 
 
@@ -174,3 +177,30 @@ def _cms(params, v, w):
         x = (scale * np.sin(a * (v + shift)) / np.cos(v) ** (1.0 / a)
              * (np.cos(v - a * (v + shift)) / w) ** ((1.0 - a) / a))
     return params.scale * x + d
+
+
+def empirical_cf(draws):
+    """Mean of exp(j*t*draws) at each t of CF_GRID, summed over blocks of draws.
+
+    z = exp(j*0.1*x) is written into the real and imaginary parts of one
+    complex block by one cosine and one sine; z**5 = (z**2)**2 * z, and
+    z**10 and z**20 are squares in turn.
+    """
+    z = np.empty(min(draws.size, BLOCK), dtype=complex)
+    zk = np.empty_like(z)
+    sums = [0j] * len(CF_GRID)
+    for start in range(0, draws.size, BLOCK):
+        phase = CF_GRID[0] * draws[start:start + BLOCK]
+        zb, zkb = z[:phase.size], zk[:phase.size]
+        np.cos(phase, out=zb.real)
+        np.sin(phase, out=zb.imag)
+        sums[0] += zb.sum()
+        np.multiply(zb, zb, out=zkb)
+        np.multiply(zkb, zkb, out=zkb)
+        np.multiply(zkb, zb, out=zkb)
+        sums[1] += zkb.sum()
+        np.multiply(zkb, zkb, out=zkb)
+        sums[2] += zkb.sum()
+        np.multiply(zkb, zkb, out=zkb)
+        sums[3] += zkb.sum()
+    return [complex(s / draws.size) for s in sums]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sparselms import AlphaStableParams, ParameterError, characteristic_function, sample
-from sparselms.cli import CF_GRID
-from sparselms.stable import BLOCK
+from sparselms.stable import BLOCK, CF_GRID, empirical_cf
 
 # (alpha, beta, gamma, delta) of the sampler's CDF check against scipy
 CDF_CASES = [(1.5, 0.5, 1.0, 0.0), (1.0, 0.5, 1.0, 0.0), (1.0, 0.5, 2.0, 0.0),
@@ -142,11 +142,39 @@ BRANCHES = [AlphaStableParams(*p) for p in [
 @pytest.mark.parametrize("size", [None, 0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7,
                                   (3, BLOCK // 2 + 5)])
 def test_blocked_sampler_is_bit_identical_to_whole_array(params, size):
-    blocked = sample(params, np.random.default_rng(8), size=size)
-    whole = whole_array_sample(params, np.random.default_rng(8), size=size)
+    rng_blocked, rng_whole = np.random.default_rng(8), np.random.default_rng(8)
+    blocked = sample(params, rng_blocked, size=size)
+    whole = whole_array_sample(params, rng_whole, size=size)
     assert type(blocked) is type(whole)
     assert np.shape(blocked) == np.shape(whole)
     assert np.array_equal(blocked, whole)
+    # the sampler leaves the stream where the whole-array draw does
+    assert rng_blocked.bit_generator.state == rng_whole.bit_generator.state
+
+
+@pytest.mark.parametrize("params", BRANCHES[:4], ids=lambda p: f"{p.alpha}-{p.beta}")
+def test_sample_peak_memory_below_one_and_a_half_draw_arrays(params):
+    n = 1_000_000
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sample(params, rng, size=n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.2, 2.0])
+@pytest.mark.parametrize("beta", [0.0, 0.5, -1.0])
+@pytest.mark.parametrize("n", [BLOCK - 1, 2 * BLOCK + 3])
+def test_empirical_cf_matches_direct_mean(alpha, beta, n):
+    draws = sample(AlphaStableParams(alpha, beta), np.random.default_rng(6), size=n)
+    blocked = empirical_cf(draws)
+    assert len(blocked) == len(CF_GRID)
+    for t, value in zip(CF_GRID, blocked):
+        assert abs(value - np.mean(np.exp(1j * t * draws))) <= 1e-12, t
 
 
 class TestSampler:
