@@ -17,11 +17,7 @@ validated statistically against the characteristic function above (see the
 test suite and the ``validate-noise`` CLI command).
 """
 
-import contextvars
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,21 +28,10 @@ from .errors import ParameterError
 # log|t| finite
 _LOG_CLAMP = 1e-300
 
-# draws per block of the CMS transform: 2**16 float64 values are 512 KiB,
-# so a block, its exponentials and its temporary stay in cache
+# draws per block of an elementwise pass over a sample (the CMS transform
+# and the empirical CF): 2**16 float64 values are 512 KiB, so a block and
+# its scratch stay in cache
 BLOCK = 1 << 16
-
-# draws per block of the empirical CF: its two complex buffers take 32
-# bytes a draw, four times a float64 block, so half of BLOCK holds them to
-# 1 MiB per thread
-_CF_BLOCK = BLOCK // 2
-
-# most threads that transform or sum blocks at once, for memory: each
-# thread holds its block's temporaries, and sample holds threads + 1 blocks
-# of exponentials, beside the draw-sized result.  At 1e6 draws sample peaks
-# at 1.13 draw-sized arrays (tracemalloc) on one thread, 1.33 on two and
-# 1.46-1.59 on four, against the 1.5 its test allows
-MAX_THREADS = 2
 
 # points at which validate-noise compares the empirical CF with the model.
 # The grid is 0.1*k for k = 1, 5, 10, 20, so every exp(j*t*x) is a power of
@@ -156,29 +141,29 @@ def sample(params, rng, size=None):
 
     All of V is drawn into the array that is returned.  Then, block by
     block of ``BLOCK`` draws, that block's W is drawn and the block is
-    overwritten by its transform, on up to ``MAX_THREADS`` threads.  Only
-    the calling thread draws from ``rng``, in block order, and
-    exponentials drawn in consecutive blocks are those of one whole draw,
-    so the stream and the generator's final state depend neither on the
-    block size nor on the thread count, and every element is bit-identical
-    to a whole-array evaluation.  Beside the result, the peak is one
-    block's W per block in flight (threads + 1) and one block-sized
-    temporary per thread.
+    overwritten by its transform.  Exponentials drawn in consecutive blocks
+    are those of one whole draw, so the stream and the generator's final
+    state do not depend on the block size, and every element is
+    bit-identical to a whole-array evaluation.  Beside the result, the peak
+    is one block's W and one block-sized temporary, two buffers that every
+    block reuses, so no block allocates memory.
     """
     scalar = size is None
     out = rng.uniform(-np.pi / 2.0, np.pi / 2.0, 1 if scalar else size)
     v = out.reshape(-1)
-    blocks = [v[start:start + BLOCK] for start in range(0, v.size, BLOCK)]
-    _map_blocks(_cms, ((params, b, rng.standard_exponential(b.size)) for b in blocks),
-                len(blocks))
+    w, tmp = np.empty((2, min(v.size, BLOCK)))
+    for start in range(0, v.size, BLOCK):
+        block = v[start:start + BLOCK]
+        rng.standard_exponential(out=w[:block.size])
+        _cms(params, block, w[:block.size], tmp[:block.size])
     return float(out[0]) if scalar else out
 
 
-def _cms(params, v, w):
+def _cms(params, v, w, tmp):
     """Overwrite uniform ``v`` with its CMS transform, using exponential ``w``.
 
-    ``w`` is overwritten too, and one array of ``v``'s size is the only
-    temporary.  Each element goes through the same IEEE operations, on the
+    ``w`` is overwritten too, and ``tmp``, of ``v``'s size, is the only
+    scratch.  Each element goes through the same IEEE operations, on the
     same operands and in the same order, as in the formula of its branch
     written as one numpy expression, so the draws are bit-identical to it.
     """
@@ -190,7 +175,7 @@ def _cms(params, v, w):
     if a == 1.0:
         # g*x + d + (2/pi)*b*g*log(g), where bv = pi/2 + b*v and
         # x = (2/pi) * (bv*tan(v) - b*log((pi/2)*w*cos(v) / bv))
-        tmp = np.cos(v)
+        np.cos(v, out=tmp)
         w *= np.pi / 2.0
         w *= tmp
         np.multiply(b, v, out=tmp)
@@ -215,11 +200,11 @@ def _cms(params, v, w):
         bt = b * np.tan(a * np.pi / 2.0)
         shift = np.arctan(bt) / a
         scale = (1.0 + bt * bt) ** (1.0 / (2.0 * a))
-        tmp = v + shift
+        np.add(v, shift, out=tmp)
         tmp *= a
         np.subtract(v, tmp, out=tmp)
     else:
-        tmp = (1.0 - a) * v
+        np.multiply(1.0 - a, v, out=tmp)
     np.cos(tmp, out=tmp)
     np.divide(tmp, w, out=w)
     w **= (1.0 - a) / a
@@ -240,75 +225,41 @@ def _cms(params, v, w):
 def empirical_cf(draws):
     """Mean of exp(j*t*draws) at each t of CF_GRID, summed over blocks of draws.
 
-    ``draws`` may have any shape; it is read as one flat sample.  Each block
-    of ``_CF_BLOCK`` draws is summed on up to ``MAX_THREADS`` threads, and
-    the calling thread adds the block sums in block order, so the result
-    does not depend on the thread count.  Beside the draws, the peak is two
-    complex blocks per thread.
+    ``draws`` may have any shape; it is read as one flat sample.
+    z = exp(j*0.1*x) is written into the real and imaginary parts of one
+    complex block from one tangent of the half angle, u = tan(0.05*x):
+    cos(0.1*x) = 2/(1 + u*u) - 1 and sin(0.1*x) = u * 2/(1 + u*u).  numpy
+    evaluates tan with SIMD but cos and sin one element at a time (2.7
+    against 17-18 ns a value with numpy 2.4 on an AVX-512 x86-64), so this
+    takes under half the time of a cosine and a sine, and each part is
+    within a few 1e-16 of them.  z**5 = (z**2)**2 * z, and z**10 and z**20
+    are squares in turn.  Beside the draws, the peak is two complex blocks
+    that every block reuses.
     """
     flat = np.asarray(draws).reshape(-1)
     if flat.size == 0:
         raise ParameterError("draws must hold at least one value, got an empty array")
-    starts = range(0, flat.size, _CF_BLOCK)
-    blocks = ((flat[start:start + _CF_BLOCK],) for start in starts)
+    z, zk = np.empty((2, min(flat.size, BLOCK)), dtype=complex)
     sums = [0j] * len(CF_GRID)
-    for block_sums in _map_blocks(_cf_sums, blocks, len(starts)):
-        sums = [total + s for total, s in zip(sums, block_sums)]
+    for start in range(0, flat.size, BLOCK):
+        x = flat[start:start + BLOCK]
+        zb, zkb = z[:x.size], zk[:x.size]
+        # u and 2/(1 + u*u) in zkb's buffer, which zb*zb overwrites
+        u, r = zkb.view(float)[:x.size], zkb.view(float)[x.size:]
+        np.multiply(0.5 * CF_GRID[0], x, out=u)
+        np.tan(u, out=u)
+        np.multiply(u, u, out=r)
+        r += 1.0
+        np.divide(2.0, r, out=r)
+        np.multiply(u, r, out=zb.imag)
+        np.subtract(r, 1.0, out=zb.real)
+        sums[0] += zb.sum()
+        np.multiply(zb, zb, out=zkb)
+        np.multiply(zkb, zkb, out=zkb)
+        np.multiply(zkb, zb, out=zkb)
+        sums[1] += zkb.sum()
+        np.multiply(zkb, zkb, out=zkb)
+        sums[2] += zkb.sum()
+        np.multiply(zkb, zkb, out=zkb)
+        sums[3] += zkb.sum()
     return [complex(s / flat.size) for s in sums]
-
-
-def _cf_sums(x):
-    """Sums of exp(j*t*x) over one block ``x``, at each t of CF_GRID.
-
-    z = exp(j*0.1*x) is written into the real and imaginary parts of one
-    complex block by one cosine and one sine; z**5 = (z**2)**2 * z, and
-    z**10 and z**20 are squares in turn.
-    """
-    z = np.empty(x.size, dtype=complex)
-    zk = np.empty_like(z)
-    # 0.1*x in the first half of zk's buffer, which z*z overwrites
-    phase = np.multiply(CF_GRID[0], x, out=zk.view(float)[:x.size])
-    np.cos(phase, out=z.real)
-    np.sin(phase, out=z.imag)
-    sums = [z.sum()]
-    np.multiply(z, z, out=zk)
-    np.multiply(zk, zk, out=zk)
-    np.multiply(zk, z, out=zk)
-    sums.append(zk.sum())
-    np.multiply(zk, zk, out=zk)
-    sums.append(zk.sum())
-    np.multiply(zk, zk, out=zk)
-    sums.append(zk.sum())
-    return sums
-
-
-def _usable_cpus():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _map_blocks(fn, jobs, count):
-    """``[fn(*job) for job in jobs]``, in job order, on up to MAX_THREADS threads.
-
-    The calling thread takes each argument tuple from ``jobs`` (``count``
-    of them) when at most ``threads`` earlier jobs are unfinished, so at
-    most threads + 1 jobs' arguments are held at once.  A single thread
-    (one job or one usable CPU) runs the jobs inline and starts no pool.
-    Each job runs in a copy of the caller's context, so numpy's error state
-    (``np.errstate``) holds in the worker threads.  An exception raised by
-    a job reaches the caller after the jobs in flight have finished.
-    """
-    threads = min(_usable_cpus(), count, MAX_THREADS)
-    if threads <= 1:
-        return [fn(*job) for job in jobs]
-    results, pending = [], deque()
-    with ThreadPoolExecutor(threads) as pool:
-        for job in jobs:
-            pending.append(pool.submit(contextvars.copy_context().run, fn, *job))
-            if len(pending) > threads:
-                results.append(pending.popleft().result())
-        results.extend(future.result() for future in pending)
-    return results

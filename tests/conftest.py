@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from sparselms import AlgorithmSpec, AlphaStableParams, SimConfig, stable
+from sparselms import AlgorithmSpec, AlphaStableParams, SimConfig
 
 settings.register_profile(
     "ci", deadline=None, derandomize=True, max_examples=50,
@@ -23,13 +23,3 @@ def small_config():
         return SimConfig(**kwargs)
 
     return build
-
-
-@pytest.fixture
-def usable_cpus(monkeypatch):
-    """Setter for the CPU count the noise sampler sizes its thread pool by."""
-
-    def set_count(count):
-        monkeypatch.setattr(stable, "_usable_cpus", lambda: count)
-
-    return set_count

@@ -1,5 +1,4 @@
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -8,8 +7,8 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparselms import AlphaStableParams, ParameterError, characteristic_function, sample, stable
-from sparselms.stable import BLOCK, CF_GRID, MAX_THREADS, empirical_cf
+from sparselms import AlphaStableParams, ParameterError, characteristic_function, sample
+from sparselms.stable import BLOCK, CF_GRID, empirical_cf
 
 # (alpha, beta, gamma, delta) of the sampler's CDF check against scipy
 CDF_CASES = [(1.5, 0.5, 1.0, 0.0), (1.0, 0.5, 1.0, 0.0), (1.0, 0.5, 2.0, 0.0),
@@ -153,10 +152,8 @@ def test_blocked_sampler_is_bit_identical_to_whole_array(params, size):
     assert rng_blocked.bit_generator.state == rng_whole.bit_generator.state
 
 
-# on a host with more CPUs than the cap, so the bound holds at the most threads
 @pytest.mark.parametrize("params", BRANCHES[:4], ids=lambda p: f"{p.alpha}-{p.beta}")
-def test_sample_peak_memory_below_one_and_a_half_draw_arrays(params, usable_cpus):
-    usable_cpus(MAX_THREADS + 2)
+def test_sample_peak_memory_below_one_and_a_half_draw_arrays(params):
     n = 1_000_000
     rng = np.random.default_rng(0)
     tracemalloc.start()
@@ -188,76 +185,6 @@ def test_empirical_cf_reads_any_shape_as_one_sample():
 def test_empirical_cf_of_no_draws_names_draws():
     with pytest.raises(ParameterError, match="draws"):
         empirical_cf(np.empty(0))
-
-
-@pytest.mark.parametrize("params", BRANCHES[:4], ids=lambda p: f"{p.alpha}-{p.beta}")
-@pytest.mark.parametrize("size", [BLOCK + 1, 3 * BLOCK + 7])
-def test_thread_count_does_not_change_results(params, size, usable_cpus):
-    results = []
-    for count in (1, 2):
-        usable_cpus(count)
-        rng = np.random.default_rng(9)
-        draws = sample(params, rng, size=size)
-        results.append((draws, rng.bit_generator.state, empirical_cf(draws)))
-    (draws1, state1, cf1), (draws2, state2, cf2) = results
-    assert np.array_equal(draws1, draws2)
-    assert state1 == state2
-    assert cf1 == cf2
-
-
-class FailingExecutor:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-
-# every trial of `run` draws one block or less
-@pytest.mark.parametrize("size", [None, 1, BLOCK])
-def test_one_block_starts_no_pool(monkeypatch, usable_cpus, size):
-    usable_cpus(MAX_THREADS + 2)
-    monkeypatch.setattr(stable, "ThreadPoolExecutor", FailingExecutor)
-    sample(AlphaStableParams(1.2, 0.5), np.random.default_rng(0), size=size)
-
-
-def test_one_cpu_starts_no_pool(monkeypatch, usable_cpus):
-    usable_cpus(1)
-    monkeypatch.setattr(stable, "ThreadPoolExecutor", FailingExecutor)
-    empirical_cf(sample(AlphaStableParams(1.2, 0.5), np.random.default_rng(0), size=3 * BLOCK))
-
-
-def test_block_error_reaches_caller_and_threads_end(monkeypatch, usable_cpus):
-    usable_cpus(MAX_THREADS)
-    calls = []
-    cms = stable._cms
-
-    def failing_cms(params, v, w):
-        calls.append(v.size)
-        if len(calls) == 2:
-            raise FloatingPointError("block 2")
-        cms(params, v, w)
-
-    monkeypatch.setattr(stable, "_cms", failing_cms)
-    baseline = threading.active_count()
-    with pytest.raises(FloatingPointError, match="block 2"):
-        sample(AlphaStableParams(1.2, 0.5), np.random.default_rng(0), size=5 * BLOCK)
-    assert threading.active_count() == baseline
-
-
-def test_worker_threads_keep_the_callers_error_state(monkeypatch, usable_cpus):
-    usable_cpus(MAX_THREADS)
-    states = []
-    cms = stable._cms
-
-    def recording_cms(params, v, w):
-        states.append((threading.get_ident(), np.geterr()["over"]))
-        cms(params, v, w)
-
-    monkeypatch.setattr(stable, "_cms", recording_cms)
-    with np.errstate(over="ignore"):
-        sample(AlphaStableParams(1.2, 0.5), np.random.default_rng(0), size=3 * BLOCK + 7)
-    assert len(states) == 4
-    assert {over for _, over in states} == {"ignore"}
-    # the blocks ran off the calling thread
-    assert threading.get_ident() not in {ident for ident, _ in states}
 
 
 class TestSampler:
