@@ -8,14 +8,12 @@ seeded Monte-Carlo harness that produces averaged learning curves.
 
 __version__ = "0.1.0"
 
-from .channel import (SparseChannel, generate_channel, generate_input,
-                      regressor)
+from .channel import SparseChannel, generate_channel, generate_input
 from .errors import DivergenceError, ParameterError
 from .filters import (AlgorithmSpec, FilterState, attractor, penalty_value,
                       step)
 from .simulation import (LearningCurve, Realization, SimConfig, apply_snr,
-                         derive_trial_seed, make_realization, run_experiment,
-                         run_trial)
+                         derive_trial_seed, make_realization, run_experiment)
 from .stable import AlphaStableParams, characteristic_function, sample
 
 __all__ = [
@@ -37,9 +35,7 @@ __all__ = [
     "generate_input",
     "make_realization",
     "penalty_value",
-    "regressor",
     "run_experiment",
-    "run_trial",
     "sample",
     "step",
 ]

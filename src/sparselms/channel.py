@@ -68,6 +68,7 @@ def generate_input(length, power, rng, kind="gaussian"):
     raise ParameterError(f"unknown input kind {kind!r}, expected one of {INPUT_KINDS}")
 
 
+# the package does not call this; it stays because benchmarks/layers.py times it
 def regressor(samples, n, n_taps):
     """Delay-line vector [x(n), x(n-1), ..., x(n-N+1)] of the input
     ``samples``, with zeros for time indices before 0.

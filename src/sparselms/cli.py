@@ -268,12 +268,16 @@ def cmd_validate_noise(args):
         return EXIT_CONFIG
 
     rng = np.random.default_rng(args.seed)
-    draws = sample(params, rng, size=args.samples)
+    try:
+        estimates = empirical_cf(sample(params, rng, size=args.samples))
+    except MemoryError as exc:
+        print(f"error: cannot hold samples = {args.samples}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(f"alpha={params.alpha} beta={params.beta} gamma={params.gamma} "
           f"delta={params.delta} samples={args.samples} seed={args.seed}")
     print(f"{'t':>6}  {'|empirical|':>12}  {'|analytic|':>12}  {'|error|':>10}")
     ok = True
-    for t, empirical in zip(CF_GRID, empirical_cf(draws)):
+    for t, empirical in zip(CF_GRID, estimates):
         analytic = characteristic_function(params, t)
         err = abs(empirical - analytic)
         ok &= err <= CF_TOLERANCE

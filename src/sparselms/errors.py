@@ -11,6 +11,6 @@ class DivergenceError(RuntimeError):
     Carries the iteration index at which the blow-up was detected.
     """
 
-    def __init__(self, iteration, message=None):
+    def __init__(self, iteration):
         self.iteration = iteration
-        super().__init__(message or f"filter diverged at iteration {iteration}")
+        super().__init__(f"filter diverged at iteration {iteration}")

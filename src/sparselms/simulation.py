@@ -173,6 +173,7 @@ def make_realization(config, trial_seed):
     return Realization(channel=chan, signal=signal, noise=noise)
 
 
+# the package does not call this; it stays because benchmarks/layers.py times it
 def run_trial(config, spec, trial_seed):
     """Run one algorithm over one seeded realization.
 

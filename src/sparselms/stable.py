@@ -229,11 +229,10 @@ def empirical_cf(draws):
     z = exp(j*0.1*x) is written into the real and imaginary parts of one
     complex block from one tangent of the half angle, u = tan(0.05*x):
     cos(0.1*x) = 2/(1 + u*u) - 1 and sin(0.1*x) = u * 2/(1 + u*u).  numpy
-    evaluates tan with SIMD but cos and sin one element at a time (2.7
-    against 17-18 ns a value with numpy 2.4 on an AVX-512 x86-64), so this
-    takes under half the time of a cosine and a sine, and each part is
-    within a few 1e-16 of them.  z**5 = (z**2)**2 * z, and z**10 and z**20
-    are squares in turn.  Beside the draws, the peak is two complex blocks
+    evaluates tan with SIMD but cos and sin one element at a time, so one
+    tangent is cheaper than a cosine and a sine, and each part is within a
+    few 1e-16 of them.  z**5 = (z**2)**2 * z, and z**10 and z**20 are
+    squares in turn.  Beside the draws, the peak is two complex blocks
     that every block reuses.
     """
     flat = np.asarray(draws).reshape(-1)

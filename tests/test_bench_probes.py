@@ -4,7 +4,8 @@
 ``regressor``, ``Realization.signal``, ``SparseChannel.taps``, ...), so a
 library change can break ``bench.py --trace 1`` without failing any other
 test.  This runs its channel/filter and trial probes on a tiny config, its
-stable probe, and one small traced ``validate-noise``.
+stable probe, its worker-scaling and IPC probe, and one small traced
+``validate-noise``.
 """
 
 import pathlib
@@ -52,6 +53,21 @@ def test_stable_probe_returns_every_metric(layers):
     assert expected and expected <= out.keys()
     for name in expected:
         assert out[name] and all(v > 0 for v in out[name]), name
+
+
+def test_simulation_probe_returns_every_metric(layers, tmp_path):
+    # its IPC leg patches simulation.ProcessPoolExecutor; a leg that records
+    # no job would end bench.py --trace 1 in statistics.median([])
+    mods, tracer, checks = layers.Modules(SRC), layers.Tracer(), layers.Checks()
+    out = layers.probe_simulation(mods, tracer, checks, seed=1, workdir=tmp_path)
+    expected = {name for name in layers.UNITS
+                if name.startswith("simulation.")
+                and not name.startswith(("simulation.make_realization", "simulation.run_trial"))}
+    assert expected and expected <= out.keys()
+    for name in expected:
+        values = out[name] if isinstance(out[name], list) else [out[name]]
+        assert values and all(v > 0 for v in values), name
+    assert checks.failed == 0, checks.problems
 
 
 def test_traced_validate_noise_spans_sampling(layers, tmp_path):

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparselms import (ParameterError, generate_channel, generate_input,
-                       regressor)
-from sparselms.channel import delay_lines
+from sparselms import ParameterError, generate_channel, generate_input
+from sparselms.channel import delay_lines, regressor
 
 
 class TestGenerateChannel:

@@ -1,3 +1,4 @@
+import ast
 import configparser
 import re
 import tracemalloc
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import sparselms
 from sparselms import AlgorithmSpec, AlphaStableParams, SimConfig, cli
 from sparselms.cli import ConfigError, parse_config
 from sparselms.filters import PENALTY_PARAMS
@@ -522,6 +524,14 @@ verdict: PASS (tolerance 0.02)
         assert captured.err.startswith("error: gamma")
         assert "verdict" not in captured.out
 
+    # numpy refuses 72.8 TiB at once, so this allocates nothing
+    def test_unallocatable_sample_exits_3_naming_samples(self, capsys):
+        assert cli.main(["validate-noise", "--alpha", "1.2",
+                         "--samples", "10000000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot hold samples = 10000000000000: ")
+        assert captured.out == ""
+
 
 class TestTemplate:
     def test_round_trip(self, tmp_path, capsys):
@@ -540,7 +550,8 @@ class TestTemplate:
 
 class TestReadme:
     """The README's config example and penalty table against the tables
-    that the parser and the template derive from."""
+    that the parser and the template derive from, and its library example
+    against the package namespace."""
 
     def test_ini_example_equals_the_template(self, tmp_path):
         block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
@@ -565,3 +576,19 @@ class TestReadme:
             penalty: ", ".join(f"`{cli._CONFIG_KEYS.get(field, field)} = {value}`"
                                for field, value in params.items()) or "-"
             for penalty, params in PENALTY_PARAMS.items()}
+
+    def test_namespace_holds_each_name_once(self):
+        names = sparselms.__all__
+        assert len(names) == len(set(names))
+        assert all(hasattr(sparselms, name) for name in names)
+        # one-row scaffolding stays in its module, out of the namespace
+        for name in ("run_trial", "regressor"):
+            assert name not in names and not hasattr(sparselms, name), name
+
+    def test_library_example_imports_are_exported(self):
+        text = README.read_text()
+        block = re.search(r"## Library use\n.*?```python\n(.*?)```", text, re.S).group(1)
+        imported = {alias.name for node in ast.walk(ast.parse(block))
+                    if isinstance(node, ast.ImportFrom) and node.module == "sparselms"
+                    for alias in node.names}
+        assert imported and imported <= set(sparselms.__all__)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from sparselms import (AlgorithmSpec, AlphaStableParams, DivergenceError,
                        FilterState, SimConfig, derive_trial_seed,
-                       make_realization, regressor, run_experiment, step)
+                       make_realization, run_experiment, step)
+from sparselms.channel import regressor
 from sparselms.filters import Rules
 from sparselms.simulation import _TRIAL_CHUNK, _filter_block
 

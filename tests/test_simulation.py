@@ -6,7 +6,8 @@ from scipy.optimize import brentq
 
 from sparselms import (AlgorithmSpec, AlphaStableParams, ParameterError,
                        SimConfig, apply_snr, derive_trial_seed,
-                       make_realization, run_experiment, run_trial, simulation)
+                       make_realization, run_experiment, simulation)
+from sparselms.simulation import run_trial
 
 ALL_NAMES = ("lms", "slms", "lms-za", "slms-za", "lms-rza", "slms-rza",
              "lms-rl1", "slms-rl1", "lms-lp", "slms-lp")
