@@ -6,7 +6,7 @@ exact alpha-stable noise sampler, sparse FIR channel generation, and a
 seeded Monte-Carlo harness that produces averaged learning curves.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .channel import SparseChannel, generate_channel, generate_input
 from .errors import DivergenceError, ParameterError

@@ -11,9 +11,9 @@ validate-noise
 template
     Emit the default config file (the reference parameterization).
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure (including
-a failed noise validation and the case where every trial of some algorithm
-diverged), 4 output I/O error.
+Exit codes: 0 success, 2 bad input (a ParameterError), 3 runtime failure
+(including a failed noise validation and the case where every trial of some
+algorithm diverged), 4 output I/O error.
 """
 
 import argparse
@@ -40,10 +40,6 @@ CSV_HEADER = "algorithm,iteration,mse_db,trials_diverged"
 
 # largest |empirical - analytic| CF error at which validate-noise passes
 CF_TOLERANCE = 0.02
-
-
-class ConfigError(Exception):
-    """Bad configuration file or overrides."""
 
 
 # AlgorithmSpec field -> config key, where they differ (lambda is a Python
@@ -103,21 +99,21 @@ def _read(parser, section, keys, reference):
     items = parser[section] if parser.has_section(section) else {}
     for key in items:
         if key not in keys:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            raise ParameterError(f"unknown key {key!r} in section [{section}]")
     for key, raw in items.items():
         field = keys[key]
         try:
             values[field] = type(values[field])(raw)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r} in [{section}]: {raw!r}") from exc
+            raise ParameterError(f"bad value for {key!r} in [{section}]: {raw!r}") from exc
     return values
 
 
 @contextlib.contextmanager
 def _naming_keys(sections):
-    """Re-raise a :class:`ParameterError` as a :class:`ConfigError` naming the
-    config key of the field that the library's message begins with;
-    ``sections`` maps section -> config key -> field."""
+    """Re-raise a :class:`ParameterError` as one naming the config key of
+    the field that the library's message begins with; ``sections`` maps
+    section -> config key -> field."""
     try:
         yield
     except ParameterError as exc:
@@ -125,20 +121,20 @@ def _naming_keys(sections):
         for name, keys in sections.items():
             for key, key_field in keys.items():
                 if key_field == field:
-                    raise ConfigError(f"bad value for {key!r} in [{name}]: {key} {rest}") from exc
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+                    raise ParameterError(
+                        f"bad value for {key!r} in [{name}]: {key} {rest}") from exc
+        raise ParameterError(f"invalid configuration: {exc}") from exc
 
 
 def _algorithm(parser, name):
     """The spec of algorithm ``name`` with the hyperparameters its
     ``[algorithm.<name>]`` section of ``parser`` gives, if any."""
-    try:
-        spec = AlgorithmSpec.from_name(name)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = AlgorithmSpec.from_name(name)
     section, keys = f"algorithm.{name}", _algorithm_keys(spec)
+    # read outside _naming_keys, which would rename the reader's own messages
+    values = _read(parser, section, keys, spec)
     with _naming_keys({section: keys}):
-        return replace(spec, **_read(parser, section, keys, spec))
+        return replace(spec, **values)
 
 
 def parse_config(path, run=None, algorithms=None):
@@ -148,6 +144,10 @@ def parse_config(path, run=None, algorithms=None):
     the file held them.  ``algorithms`` names the algorithms to run, in
     order, in place of the file's ``[algorithm.*]`` sections; a name without
     a section runs at its defaults.  Every section is validated either way.
+
+    Raises :class:`ParameterError` for every bad input: a file that cannot
+    be read or parsed, an unknown section or key, or a bad value, named by
+    its key and section.
     """
     # no [DEFAULT] section: its keys would be copied into every section
     parser = configparser.ConfigParser(interpolation=None, default_section=None)
@@ -155,9 +155,9 @@ def parse_config(path, run=None, algorithms=None):
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+        raise ParameterError(f"malformed config file {path}: {exc}") from exc
     if run:
         parser.read_dict({"run": run})
 
@@ -170,10 +170,10 @@ def parse_config(path, run=None, algorithms=None):
             continue
         prefix, _, name = section.partition(".")
         if prefix != "algorithm" or not name:
-            raise ConfigError(f"unknown section [{section}]")
+            raise ParameterError(f"unknown section [{section}]")
         names.append(name)
     if not names:
-        raise ConfigError("no [algorithm.*] sections configured")
+        raise ParameterError("no [algorithm.*] sections configured")
     specs = [_algorithm(parser, name) for name in names]
     if algorithms is not None:
         specs = [_algorithm(parser, name) for name in algorithms]
@@ -218,7 +218,7 @@ def cmd_run(args):
         run = {key: getattr(args, key) for key in SECTIONS["run"]
                if getattr(args, key, None) is not None}
         config = parse_config(args.config, run=run, algorithms=args.algorithms)
-    except (ConfigError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -339,9 +339,5 @@ def main(argv=None):
     return args.func(args)
 
 
-def entrypoint():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

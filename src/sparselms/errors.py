@@ -2,7 +2,8 @@
 
 
 class ParameterError(ValueError):
-    """A parameter lies outside its admissible domain."""
+    """A parameter lies outside its admissible domain, or a config file
+    cannot be read or parsed: bad input of any kind."""
 
 
 class DivergenceError(RuntimeError):

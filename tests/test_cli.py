@@ -1,6 +1,9 @@
 import ast
 import configparser
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -8,11 +11,12 @@ from pathlib import Path
 import pytest
 
 import sparselms
-from sparselms import AlgorithmSpec, AlphaStableParams, SimConfig, cli
-from sparselms.cli import ConfigError, parse_config
+from sparselms import AlgorithmSpec, AlphaStableParams, ParameterError, SimConfig, cli
+from sparselms.cli import parse_config
 from sparselms.filters import PENALTY_PARAMS
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 @pytest.fixture
@@ -85,13 +89,13 @@ class TestParseConfig:
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[channel]\nn_taps = 8\nspicyness = 3\n\n[algorithm.slms]\n")
-        with pytest.raises(ConfigError, match="spicyness"):
+        with pytest.raises(ParameterError, match="spicyness"):
             parse_config(str(path))
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[bogus]\nx = 1\n\n[algorithm.slms]\n")
-        with pytest.raises(ConfigError, match="bogus"):
+        with pytest.raises(ParameterError, match="bogus"):
             parse_config(str(path))
 
     def test_default_section_exits_2_as_unknown(self, tmp_path, capsys):
@@ -105,13 +109,13 @@ class TestParseConfig:
     def test_unknown_algorithm_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[algorithm.super-lms]\nmu = 0.1\n")
-        with pytest.raises(ConfigError, match="super-lms"):
+        with pytest.raises(ParameterError, match="super-lms"):
             parse_config(str(path))
 
     def test_penalty_key_on_wrong_algorithm(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[algorithm.slms]\nlambda = 1e-4\n")
-        with pytest.raises(ConfigError, match="lambda"):
+        with pytest.raises(ParameterError, match="lambda"):
             parse_config(str(path))
 
     # every key of another penalty, in a section of each penalty
@@ -132,11 +136,11 @@ class TestParseConfig:
     def test_zero_sparsity_rejected(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[channel]\nsparsity = 0\n\n[algorithm.slms]\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError, match=r"bad value for 'sparsity' in \[channel\]"):
             parse_config(str(path))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError, match="cannot read config file"):
             parse_config(str(tmp_path / "nope.ini"))
 
     def test_non_utf8_file_exits_2(self, tmp_path, capsys):
@@ -149,19 +153,19 @@ class TestParseConfig:
     def test_malformed_syntax(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("this is not an ini file\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError, match="malformed config file"):
             parse_config(str(path))
 
     def test_bad_value_type(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[channel]\nn_taps = many\n\n[algorithm.slms]\n")
-        with pytest.raises(ConfigError, match=r"'n_taps' in \[channel\]"):
+        with pytest.raises(ParameterError, match=r"'n_taps' in \[channel\]"):
             parse_config(str(path))
 
     def test_noise_domain_error_is_a_config_error(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[noise]\nalpha = 3.0\n\n[algorithm.slms]\n")
-        with pytest.raises(ConfigError, match=r"'alpha' in \[noise\]"):
+        with pytest.raises(ParameterError, match=r"'alpha' in \[noise\]"):
             parse_config(str(path))
 
     def test_omitted_keys_take_the_templates_values(self, template_path, tmp_path):
@@ -178,7 +182,7 @@ class TestParseConfig:
     def test_no_algorithms(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[channel]\nn_taps = 8\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError, match=r"no \[algorithm\.\*\] sections configured"):
             parse_config(str(path))
 
     def test_missing_noise_section_means_no_noise(self, tmp_path):
@@ -266,11 +270,20 @@ class TestCmdRun:
         assert cli.main(["run", "--config", mini_path, "--out", out,
                          "--trials", "2", "--seed", "9"]) == 0
         manifest = Path(out + ".manifest").read_text()
-        assert "tool_version = " in manifest
+        assert manifest.splitlines()[0] == f"tool_version = {sparselms.__version__}"
         assert "trials = 2" in manifest
         assert "seed = 9" in manifest
         assert "algorithm.slms-za.lambda = 0.0002" in manifest
         assert "started_utc = " in manifest and "finished_utc = " in manifest
+
+    def test_manifest_without_noise_section_says_none(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[run]\niterations = 5\ntrials = 1\n\n[algorithm.slms]\n")
+        out = str(tmp_path / "r.csv")
+        assert cli.main(["run", "--config", str(path), "--out", out]) == 0
+        lines = Path(out + ".manifest").read_text().splitlines()
+        assert "noise = none" in lines
+        assert not [line for line in lines if line.startswith("noise.")]
 
     def test_manifest_records_every_template_key_by_section(self, template_path, tmp_path):
         out = str(tmp_path / "r.csv")
@@ -429,6 +442,22 @@ class TestCmdRun:
         assert code == 2
         assert f"bad value for {key!r} in [{section}]" in capsys.readouterr().err
 
+    # an algorithm section's reader messages are printed as they are, and a
+    # library check is named by its key, neither as "invalid configuration"
+    @pytest.mark.parametrize("line,message", [
+        ("mu = fast", "bad value for 'mu' in [algorithm.slms]: 'fast'"),
+        ("lambda = 1", "unknown key 'lambda' in section [algorithm.slms]"),
+        ("mu = -1", "bad value for 'mu' in [algorithm.slms]: "
+                    "mu must be finite and positive, got -1.0"),
+    ], ids=["mu-type", "foreign-key", "mu-range"])
+    def test_algorithm_section_error_is_the_whole_message(self, tmp_path, capsys,
+                                                          line, message):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[algorithm.slms]\n{line}\n")
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unwritable_out_exits_4(self, mini_path, tmp_path, monkeypatch):
         # the output files are created before the run, so the run never starts
         def run_experiment(*args, **kwargs):
@@ -438,6 +467,29 @@ class TestCmdRun:
         code = cli.main(["run", "--config", mini_path,
                          "--out", str(tmp_path / "no" / "dir" / "r.csv")])
         assert code == 4
+
+    def test_experiment_failure_exits_3_leaving_empty_outputs(self, mini_path, tmp_path,
+                                                              capsys, monkeypatch):
+        def run_experiment(*args, **kwargs):
+            raise RuntimeError("pool broke")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        out = tmp_path / "r.csv"
+        code = cli.main(["run", "--config", mini_path, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: experiment failed: pool broke\n"
+        assert out.read_bytes() == b""
+        assert Path(f"{out}.manifest").read_bytes() == b""
+
+    def test_write_failure_after_the_run_exits_4(self, mini_path, tmp_path, capsys,
+                                                 monkeypatch):
+        def write_curves_csv(path, curves):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_curves_csv", write_curves_csv)
+        code = cli.main(["run", "--config", mini_path, "--out", str(tmp_path / "r.csv")])
+        assert code == 4
+        assert capsys.readouterr().err == "error: cannot write output: disk full\n"
 
     def test_all_diverged_exits_3_but_writes_output(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -546,6 +598,39 @@ class TestTemplate:
         out = str(tmp_path / "t.ini")
         assert cli.main(["template", "--out", out]) == 0
         assert Path(out).read_text() == cli.TEMPLATE
+
+    def test_unwritable_out_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.ini"
+        assert cli.main(["template", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write template: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestPackaging:
+    def _pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with (ROOT / "pyproject.toml").open("rb") as fh:
+            return tomllib.load(fh)
+
+    def test_version_is_held_once_by_the_package(self):
+        pyproject = self._pyproject()
+        assert "version" not in pyproject["project"]
+        assert "version" in pyproject["project"]["dynamic"]
+        assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "sparselms.__version__"}
+
+    def test_console_script_is_main(self):
+        assert self._pyproject()["project"]["scripts"] == {"sparselms": "sparselms.cli:main"}
+
+    def test_module_run_exits_with_mains_code(self):
+        # the benchmark runs the CLI as ``python -m sparselms.cli``
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "sparselms.cli", "validate-noise",
+                               "--alpha", "0"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: alpha")
 
 
 class TestReadme:

@@ -136,6 +136,11 @@ class TestPenaltyValue:
         w_prev = np.array([0.5, 1.5])
         assert penalty_value(spec, w, w_prev) == pytest.approx(1.0 / 1.0 + 2.0 / 2.0)
 
+    def test_rl1_without_w_prev_weighs_from_the_startup_zeros(self):
+        spec = AlgorithmSpec(penalty="rl1", delta=0.5)
+        w = np.array([1.0, -2.0, 0.25])
+        assert penalty_value(spec, w) == penalty_value(spec, w, np.zeros(3)) == 6.5
+
 
 class TestInvariants:
     @given(seed=st.integers(0, 500))

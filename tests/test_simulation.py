@@ -156,6 +156,14 @@ class TestSimConfigValidation:
         with pytest.raises(ParameterError):
             small_config(algorithms=_specs("slms", "slms"))
 
+    def test_algorithm_that_is_not_a_spec_rejected(self, small_config):
+        with pytest.raises(ParameterError, match="^algorithms must be AlgorithmSpec instances$"):
+            small_config(algorithms=(AlgorithmSpec.from_name("slms"), "slms-za"))
+
+    def test_noise_that_is_not_stable_params_rejected(self, small_config):
+        with pytest.raises(ParameterError, match="^noise must be AlphaStableParams or None$"):
+            small_config(noise=1.2)
+
 
 class TestRunExperiment:
     def test_two_trial_curve_is_mse_db_of_trials(self, small_config):
