@@ -8,10 +8,12 @@ import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sparselms
-from sparselms import AlgorithmSpec, AlphaStableParams, ParameterError, SimConfig, cli
+from sparselms import (AlgorithmSpec, AlphaStableParams, LearningCurve, ParameterError,
+                       SimConfig, cli)
 from sparselms.cli import parse_config
 from sparselms.filters import PENALTY_PARAMS
 
@@ -502,6 +504,51 @@ class TestCmdRun:
         lines = Path(out).read_text().splitlines()
         assert len(lines) == 1 + 300
         assert lines[1].startswith("lms,1,nan,2")
+
+
+class TestCurvesCsv:
+    def test_exact_bytes(self, tmp_path):
+        # passed out of name order; the all-NaN curve lost all of its 3 trials
+        curves = [
+            LearningCurve("slms-za", np.array([-100.0, 0.1 + 0.2]), 0),
+            LearningCurve("slms", np.full(2, np.nan), 3),
+            LearningCurve("lms", np.array([1e-05, -3.25]), 1),
+        ]
+        path = tmp_path / "c.csv"
+        cli._write_curves_csv(str(path), curves)
+        assert path.read_bytes() == b"""\
+algorithm,iteration,mse_db,trials_diverged
+lms,1,1e-05,1
+lms,2,-3.25,1
+slms,1,nan,3
+slms,2,nan,3
+slms-za,1,-100.0,0
+slms-za,2,0.30000000000000004,0
+"""
+
+    def test_peak_memory_below_one_curve_of_floats(self, tmp_path):
+        n = 100_000
+        rng = np.random.default_rng(0)
+        curves = [LearningCurve(name, rng.normal(-30.0, 5.0, n), 0)
+                  for name in ("lms", "slms")]
+        path = str(tmp_path / "c.csv")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cli._write_curves_csv(path, curves)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # one curve's values as Python floats (8-byte list slot + 24-byte
+        # float each), plus margin
+        assert peak < 6 * 8 * n, f"peak {peak / 2**20:.1f} MiB"
+        # the rows of every block, the last partial one included; compared
+        # line by line, since a diff of the whole texts takes minutes
+        expected = [cli.CSV_HEADER] + [f"{c.algorithm},{i},{value!r},0" for c in curves
+                                       for i, value in enumerate(c.mse_db.tolist(), start=1)]
+        written = Path(path).read_text().splitlines()
+        assert len(written) == len(expected)
+        assert next(((w, e) for w, e in zip(written, expected) if w != e), None) is None
 
 
 class TestValidateNoise:
