@@ -9,7 +9,7 @@ seeded Monte-Carlo harness that produces averaged learning curves.
 __version__ = "0.2.0"
 
 from .channel import SparseChannel, generate_channel, generate_input
-from .errors import DivergenceError, ParameterError
+from .errors import ParameterError
 from .filters import (AlgorithmSpec, FilterState, attractor, penalty_value,
                       step)
 from .simulation import (LearningCurve, Realization, SimConfig, apply_snr,
@@ -20,7 +20,6 @@ __all__ = [
     "__version__",
     "AlgorithmSpec",
     "AlphaStableParams",
-    "DivergenceError",
     "FilterState",
     "LearningCurve",
     "ParameterError",

@@ -282,11 +282,14 @@ def cmd_validate_noise(args):
         return EXIT_CONFIG
 
     rng = np.random.default_rng(args.seed)
+    # numpy raises MemoryError for a sample it cannot allocate and ValueError
+    # for one whose size in bytes it cannot represent (2^60 draws and up)
     try:
-        estimates = empirical_cf(sample(params, rng, size=args.samples))
-    except MemoryError as exc:
+        draws = sample(params, rng, size=args.samples)
+    except (MemoryError, ValueError) as exc:
         print(f"error: cannot hold samples = {args.samples}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    estimates = empirical_cf(draws)
     print(f"alpha={params.alpha} beta={params.beta} gamma={params.gamma} "
           f"delta={params.delta} samples={args.samples} seed={args.seed}")
     print(f"{'t':>6}  {'|empirical|':>12}  {'|analytic|':>12}  {'|error|':>10}")

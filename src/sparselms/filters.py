@@ -27,20 +27,22 @@ by eps.  With sgn(0) = 0, exact zeros are fixed points of every attractor.
 The rules exist once, in :class:`Rules`, which advances a block of
 coefficient rows (algorithms x trials x taps) by one sample; :func:`step`
 is its one-row case and :func:`attractor` acts along the last axis.
+Neither decides divergence: a row that blows up comes back with
+non-finite coefficients, and the caller judges it (the Monte-Carlo
+harness by the first non-finite normalised squared error).
 
 ``family`` x ``penalty`` gives the ten wire names used throughout the
 package: lms, slms, lms-za, slms-za, lms-rza, slms-rza, lms-rl1, slms-rl1,
 lms-lp, slms-lp.
 """
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError
+from .errors import ParameterError
 
 FAMILIES = ("gradient", "sign")
 
@@ -118,15 +120,14 @@ class AlgorithmSpec:
 
 @dataclass
 class FilterState:
-    """Coefficient estimate w(n), the previous iterate, and the step count."""
+    """Coefficient estimate w(n) and the previous iterate w(n-1)."""
 
     w: np.ndarray
     w_prev: np.ndarray
-    n: int = 0
 
     @classmethod
     def zeros(cls, n_taps):
-        return cls(w=np.zeros(n_taps), w_prev=np.zeros(n_taps), n=0)
+        return cls(w=np.zeros(n_taps), w_prev=np.zeros(n_taps))
 
 
 def attractor(spec, w, w_prev=None):
@@ -174,15 +175,16 @@ class Rules:
     def __init__(self, specs):
         self.mu = np.array([[spec.mu] for spec in specs])
         self.sign = np.array([[spec.family == "sign"] for spec in specs])
-        # rows whose specs differ only in family and step size share an attractor
-        keys = [replace(spec, family="sign", mu=DEFAULT_MU) for spec in specs]
+        # rows whose specs differ only in family and step size share an
+        # attractor, which reads only these fields of its group's first spec
         self.groups = []
         start = 0
-        for key, members in itertools.groupby(keys):
-            stop = start + len(list(members))
-            if key.penalty != "none":
-                self.groups.append((key, slice(start, stop)))
-            start = stop
+        for _, members in itertools.groupby(
+                specs, lambda spec: (spec.penalty, spec.rho, spec.eps, spec.delta, spec.p)):
+            members = list(members)
+            if members[0].penalty != "none":
+                self.groups.append((members[0], slice(start, start + len(members))))
+            start += len(members)
 
     def advance(self, w, w_prev, x, d):
         """w(n+1) of every row, given w(n) and w(n-1) as ``(rules, trials,
@@ -196,29 +198,22 @@ class Rules:
         return w_new
 
 
-@functools.lru_cache(maxsize=128)
-def _one_row_rules(spec):
-    return Rules((spec,))
-
-
 def step(spec, state, x, d):
     """Advance the filter by one sample; returns a new state.
 
     The one-row case of :meth:`Rules.advance`.  Does not mutate its
-    arguments.  Raises :class:`DivergenceError` if any updated coefficient
-    is non-finite.
+    arguments.  A diverging row comes back with non-finite coefficients
+    and no warning, as in the block kernel; deciding divergence is the
+    caller's.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != state.w.shape:
         raise ParameterError(f"regressor shape {x.shape} does not match taps {state.w.shape}")
-    # overflow here is the anticipated divergence mode, reported via the
-    # guard below rather than as numpy warnings
+    # overflow is the anticipated divergence mode, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        w_new = _one_row_rules(spec).advance(
+        w_new = Rules((spec,)).advance(
             state.w[None, None], state.w_prev[None, None], x[None], float(d))[0, 0]
-    if not np.isfinite(w_new).all():
-        raise DivergenceError(state.n)
-    return FilterState(w=w_new, w_prev=state.w, n=state.n + 1)
+    return FilterState(w=w_new, w_prev=state.w)
 
 
 def penalty_value(spec, w, w_prev=None):

@@ -31,6 +31,7 @@ keeping the filters in their stable operating range.
 
 import contextlib
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -72,6 +73,11 @@ class SimConfig:
     input_kind: str = "gaussian"
 
     def __post_init__(self):
+        # Python or numpy integers; a float count would fail late or truncate
+        for field in ("n_taps", "sparsity", "n_iterations", "n_trials", "master_seed"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{field} must be an integer, got {value!r}")
         if self.n_trials < 1:
             raise ParameterError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.n_iterations < 1:

@@ -623,12 +623,14 @@ verdict: PASS (tolerance 0.02)
         assert captured.err.startswith("error: gamma")
         assert "verdict" not in captured.out
 
-    # numpy refuses 72.8 TiB at once, so this allocates nothing
-    def test_unallocatable_sample_exits_3_naming_samples(self, capsys):
+    # numpy refuses 72.8 TiB at once with a MemoryError, and a size of 2^60
+    # draws or more with a ValueError; neither allocates anything
+    @pytest.mark.parametrize("samples", [10_000_000_000_000, 2**60, 2**63])
+    def test_unallocatable_sample_exits_3_naming_samples(self, capsys, samples):
         assert cli.main(["validate-noise", "--alpha", "1.2",
-                         "--samples", "10000000000000"]) == 3
+                         "--samples", str(samples)]) == 3
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: cannot hold samples = 10000000000000: ")
+        assert captured.err.startswith(f"error: cannot hold samples = {samples}: ")
         assert captured.out == ""
 
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sparselms import (AlgorithmSpec, DivergenceError, FilterState,
-                       ParameterError, attractor, penalty_value, step)
+from sparselms import (AlgorithmSpec, FilterState, ParameterError, attractor,
+                       penalty_value, step)
 from sparselms.filters import PENALTY_PARAMS, PENALTIES
 
 ALL_NAMES = ("lms", "slms", "lms-za", "slms-za", "lms-rza", "slms-rza",
@@ -62,11 +62,10 @@ class TestStepHandOracles:
             out = step(spec, state, np.zeros(2), 0.0)
             assert np.array_equal(out.w, state.w)
 
-    def test_counter_and_history(self):
+    def test_history(self):
         spec = AlgorithmSpec(family="sign", penalty="rl1")
-        state = FilterState(w=np.array([0.5]), w_prev=np.array([0.25]), n=7)
+        state = FilterState(w=np.array([0.5]), w_prev=np.array([0.25]))
         out = step(spec, state, np.array([1.0]), 1.0)
-        assert out.n == 8
         assert np.array_equal(out.w_prev, state.w)
 
     def test_dimension_mismatch(self):
@@ -263,12 +262,12 @@ class TestGradientConsistency:
 
 
 class TestDivergenceGuard:
-    def test_gradient_overflow_raises_with_iteration(self):
+    def test_gradient_overflow_returns_non_finite_coefficients(self):
+        # no exception and no RuntimeWarning (filterwarnings makes one fail)
         spec = AlgorithmSpec(family="gradient", penalty="none", mu=1.0)
-        state = FilterState(w=np.array([1e308]), w_prev=np.zeros(1), n=17)
-        with pytest.raises(DivergenceError) as excinfo:
-            step(spec, state, np.array([1e308]), 0.0)
-        assert excinfo.value.iteration == 17
+        state = FilterState(w=np.array([1e308]), w_prev=np.zeros(1))
+        out = step(spec, state, np.array([1e308]), 0.0)
+        assert not np.isfinite(out.w).any()
 
     def test_sign_family_survives_huge_error(self):
         spec = AlgorithmSpec(family="sign", penalty="none", mu=1.0)

@@ -147,10 +147,19 @@ class TestSimConfigValidation:
         dict(noise=AlphaStableParams(1.2, gamma=1e300), snr_db=-100.0),
         # the sampler's scale gamma**(1/alpha) underflows
         dict(noise=AlphaStableParams(0.1), snr_db=400.0),
+        dict(n_trials=2.5), dict(n_iterations=30.0), dict(master_seed=1.5),
+        dict(n_taps=16.0), dict(sparsity=2.0),
     ])
     def test_invalid(self, small_config, overrides):
         with pytest.raises(ParameterError):
             small_config(**overrides)
+
+    def test_numpy_integer_counts_accepted(self, small_config):
+        config = small_config(n_taps=np.int64(16), sparsity=np.int32(4),
+                              n_iterations=np.int64(30), n_trials=np.int64(2),
+                              master_seed=np.uint64(11))
+        assert config == small_config(n_iterations=30, n_trials=2)
+        assert run_experiment(config)[0].mse_db.size == 30
 
     def test_duplicate_algorithms_rejected(self, small_config):
         with pytest.raises(ParameterError):
