@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParameterError
+from .errors import ParameterError, require_integers
 
 # the training-input distributions generate_input draws from
 INPUT_KINDS = ("gaussian", "binary")
@@ -41,11 +41,12 @@ def generate_channel(n_taps, sparsity, rng):
     Positions uniform without replacement, values i.i.d. standard Gaussian,
     then normalized to unit l2 norm.
     """
+    require_integers(n_taps=n_taps, sparsity=sparsity)
     if not (1 <= sparsity <= n_taps):
         raise ParameterError(f"sparsity must be in [1, {n_taps}], got {sparsity}")
-    taps = np.zeros(int(n_taps))
-    support = np.sort(rng.choice(int(n_taps), size=int(sparsity), replace=False))
-    values = rng.standard_normal(int(sparsity))
+    taps = np.zeros(n_taps)
+    support = np.sort(rng.choice(n_taps, size=sparsity, replace=False))
+    values = rng.standard_normal(sparsity)
     taps[support] = values / np.linalg.norm(values)
     return SparseChannel(taps=taps, support=support)
 
@@ -56,15 +57,16 @@ def generate_input(length, power, rng, kind="gaussian"):
     ``kind`` is "gaussian" (zero-mean, variance = power) or "binary"
     (equiprobable +/-sqrt(power)).
     """
+    require_integers(length=length)
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
     if not (power > 0):
         raise ParameterError(f"power must be positive, got {power}")
     root = np.sqrt(power)
     if kind == "gaussian":
-        return rng.normal(0.0, root, int(length))
+        return rng.normal(0.0, root, length)
     if kind == "binary":
-        return root * (2.0 * rng.integers(0, 2, int(length)) - 1.0)
+        return root * (2.0 * rng.integers(0, 2, length) - 1.0)
     raise ParameterError(f"unknown input kind {kind!r}, expected one of {INPUT_KINDS}")
 
 

@@ -31,7 +31,6 @@ keeping the filters in their stable operating range.
 
 import contextlib
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from .channel import (INPUT_KINDS, SparseChannel, delay_lines,
                       generate_channel, generate_input)
-from .errors import ParameterError
+from .errors import ParameterError, require_integers
 # step is not called here; it stays importable from this module because
 # benchmarks/layers.py patches simulation.step by name
 from .filters import AlgorithmSpec, Rules, step  # noqa: F401
@@ -58,8 +57,9 @@ _TRIAL_CHUNK = 16
 class SimConfig:
     """Full description of one Monte-Carlo experiment.
 
-    ``noise = None`` is the no-noise test hook: trials run with z = 0 and
-    unit signal power.
+    ``noise = None`` means no noise: trials run with z = 0 and unit signal
+    power.  Tests use it as a hook, and a config file without a ``[noise]``
+    section reaches it from the CLI.
     """
 
     n_taps: int
@@ -73,11 +73,9 @@ class SimConfig:
     input_kind: str = "gaussian"
 
     def __post_init__(self):
-        # Python or numpy integers; a float count would fail late or truncate
-        for field in ("n_taps", "sparsity", "n_iterations", "n_trials", "master_seed"):
-            value = getattr(self, field)
-            if not isinstance(value, numbers.Integral):
-                raise ParameterError(f"{field} must be an integer, got {value!r}")
+        require_integers(n_taps=self.n_taps, sparsity=self.sparsity,
+                         n_iterations=self.n_iterations, n_trials=self.n_trials,
+                         master_seed=self.master_seed)
         if self.n_trials < 1:
             raise ParameterError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.n_iterations < 1:

@@ -93,8 +93,9 @@ def characteristic_function(params, t):
     """Evaluate the model characteristic function at ``t``.
 
     Accepts a scalar or an array of real arguments; returns complex values
-    of the same shape.  p(0) = 1 by continuity (the alpha = 1 branch is
-    otherwise undefined at t = 0), and |p(t)| <= 1 everywhere.
+    of the same shape.  p(0) = 1 on every branch (at alpha = 1, log|t| is
+    clamped at ``_LOG_CLAMP`` so that it stays finite there), and
+    |p(t)| <= 1 everywhere.
     """
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
@@ -102,14 +103,13 @@ def characteristic_function(params, t):
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
 
     if a == 1.0:
-        # log|t|, clamped away from zero; t = 0 handled below by continuity
+        # log|t|, clamped away from zero so that it stays finite at t = 0
         mag = np.maximum(np.abs(t_arr), _LOG_CLAMP)
         s = -(2.0 / np.pi) * np.log(mag)
     else:
         s = np.tan(a * np.pi / 2.0)
     exponent = 1j * d * t_arr - g * np.abs(t_arr) ** a * (1.0 + 1j * b * np.sign(t_arr) * s)
     out = np.exp(exponent)
-    out = np.where(t_arr == 0.0, 1.0 + 0.0j, out)
     if np.isscalar(t) or t_arr.ndim == 0:
         return complex(out)
     return out
@@ -159,6 +159,14 @@ def sample(params, rng, size=None):
     return float(out[0]) if scalar else out
 
 
+# _cms is in-place ufunc calls on reused buffers.  Its branch formulas as
+# plain per-block expressions are shorter and bit-identical, but slower:
+# each operation allocates a block-sized temporary, which at BLOCK = 2**16
+# (512 KiB) numpy maps afresh every time.  Measured on a 2-vCPU VM with
+# numpy 2.4, 4e6 skewed draws took 0.462 s against 0.353 s, with 49.8k
+# minor page faults against 0.7k; with BLOCK = 2**13 the benchmark's
+# noise_validate workload was slower in 6 of 6 interleaved pairs (wall_s
+# 0.670 against 0.629 s).
 def _cms(params, v, w, tmp):
     """Overwrite uniform ``v`` with its CMS transform, using exponential ``w``.
 

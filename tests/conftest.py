@@ -3,6 +3,10 @@ from hypothesis import HealthCheck, settings
 
 from sparselms import AlgorithmSpec, AlphaStableParams, SimConfig
 
+# the ten wire names, written out rather than read from the package
+ALL_NAMES = ("lms", "slms", "lms-za", "slms-za", "lms-rza", "slms-rza",
+             "lms-rl1", "slms-rl1", "lms-lp", "slms-lp")
+
 settings.register_profile(
     "ci", deadline=None, derandomize=True, max_examples=50,
     suppress_health_check=[HealthCheck.too_slow])

@@ -32,6 +32,12 @@ class TestGenerateChannel:
         with pytest.raises(ParameterError):
             generate_channel(128, sparsity, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n_taps,sparsity,name", [
+        (16.7, 4.9, "n_taps"), (16.0, 4, "n_taps"), (16, 4.0, "sparsity")])
+    def test_non_integer_count_rejected(self, n_taps, sparsity, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            generate_channel(n_taps, sparsity, np.random.default_rng(0))
+
     @given(n_taps=st.integers(1, 64), seed=st.integers(0, 1000))
     def test_support_size_always_exact(self, n_taps, seed):
         rng = np.random.default_rng(seed)
@@ -65,6 +71,7 @@ class TestGenerateInput:
     @pytest.mark.parametrize("kwargs", [
         dict(length=0, power=1.0), dict(length=10, power=0.0),
         dict(length=10, power=-1.0), dict(length=10, power=1.0, kind="ternary"),
+        dict(length=10.9, power=1.0), dict(length=10.0, power=1.0),
     ])
     def test_invalid_args(self, kwargs):
         with pytest.raises(ParameterError):

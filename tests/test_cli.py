@@ -247,20 +247,6 @@ class TestCmdRun:
         names = [line.split(",")[0] for line in Path(out).read_text().splitlines()[1:]]
         assert names == ["slms"] * 5 + ["slms-za"] * 5
 
-    def test_byte_identical_reruns(self, mini_path, tmp_path):
-        out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        argv = ["run", "--config", mini_path, "--out", None]
-        for out in (out1, out2):
-            argv[-1] = out
-            assert cli.main(argv) == 0
-        assert Path(out1).read_bytes() == Path(out2).read_bytes()
-
-    def test_worker_count_does_not_change_bytes(self, mini_path, tmp_path):
-        out1, out2 = str(tmp_path / "w1.csv"), str(tmp_path / "w2.csv")
-        assert cli.main(["run", "--config", mini_path, "--out", out1, "--workers", "1"]) == 0
-        assert cli.main(["run", "--config", mini_path, "--out", out2, "--workers", "2"]) == 0
-        assert Path(out1).read_bytes() == Path(out2).read_bytes()
-
     def test_seed_override_changes_output(self, mini_path, tmp_path):
         out1, out2 = str(tmp_path / "s1.csv"), str(tmp_path / "s2.csv")
         assert cli.main(["run", "--config", mini_path, "--out", out1]) == 0
@@ -555,14 +541,6 @@ class TestValidateNoise:
     def test_gaussian_defaults_pass(self, capsys):
         assert cli.main(["validate-noise", "--alpha", "2.0"]) == 0
         assert "PASS" in capsys.readouterr().out
-
-    def test_heavy_tail_passes(self, capsys):
-        assert cli.main(["validate-noise", "--alpha", "1.2",
-                         "--samples", "100000", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        for t in ("0.10", "0.50", "1.00", "2.00"):
-            assert t in out
 
     def test_tiny_sample_fails(self, capsys):
         assert cli.main(["validate-noise", "--alpha", "1.2",

@@ -14,15 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ALL_NAMES
 from sparselms import (AlgorithmSpec, AlphaStableParams, FilterState,
                        SimConfig, derive_trial_seed, make_realization,
                        run_experiment, step)
 from sparselms.channel import regressor
 from sparselms.filters import Rules
 from sparselms.simulation import _TRIAL_CHUNK, _filter_block
-
-ALL_NAMES = ("lms", "slms", "lms-za", "slms-za", "lms-rza", "slms-rza",
-             "lms-rl1", "slms-rl1", "lms-lp", "slms-lp")
 
 
 def loop_trial(spec, realization):

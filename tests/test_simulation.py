@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from conftest import ALL_NAMES
 from sparselms import (AlgorithmSpec, AlphaStableParams, ParameterError,
                        SimConfig, apply_snr, derive_trial_seed,
                        make_realization, run_experiment, simulation)
 from sparselms.simulation import run_trial
-
-ALL_NAMES = ("lms", "slms", "lms-za", "slms-za", "lms-rza", "slms-rza",
-             "lms-rl1", "slms-rl1", "lms-lp", "slms-lp")
 
 
 def _specs(*names):
@@ -99,27 +97,14 @@ class TestRunTrial:
         assert np.array_equal(a_nmse, b_nmse)
         assert a_at == b_at == -1
 
-    def test_noiseless_convergence_and_scripted_oracle(self, small_config):
-        # no-noise hook: sign-family ZA run must identify the system, and
-        # must agree with a direct transcription of its update recursion
+    def test_noiseless_convergence(self, small_config):
+        # no-noise hook: the sign-family ZA run must identify the system
         config = small_config(noise=None, n_taps=16, sparsity=4, n_iterations=5000)
         spec = config.algorithms[0]
         seed = derive_trial_seed(config.master_seed, 0)
         nmse, diverged_at = run_trial(config, spec, seed)
         assert diverged_at == -1
         assert nmse[-1] < 1e-2
-
-        real = make_realization(config, seed)
-        w = np.zeros(16)
-        pad = np.concatenate([np.zeros(15), real.signal])
-        expected = np.zeros(5000)
-        for n in range(5000):
-            x = pad[n:n + 16][::-1]
-            d = float(real.channel.taps @ x)
-            e = d - float(w @ x)
-            w = w + (spec.mu * np.sign(e)) * x - spec.rho * np.sign(w)
-            expected[n] = float(np.sum((w - real.channel.taps) ** 2))
-        np.testing.assert_allclose(nmse, expected, rtol=1e-10, atol=1e-300)
 
     def test_divergence_blanks_the_trace_from_its_index(self, small_config):
         # gradient LMS with a hopeless step size overflows within the run
@@ -196,22 +181,6 @@ class TestRunExperiment:
         for curve in a:
             twin = next(c for c in b if c.algorithm == curve.algorithm)
             assert np.array_equal(curve.mse_db, twin.mse_db)
-
-    def test_reproducible(self, small_config):
-        config = small_config(n_iterations=60)
-        a = run_experiment(config)
-        b = run_experiment(config)
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.mse_db, cb.mse_db)
-
-    def test_worker_count_does_not_change_result(self, small_config):
-        config = small_config(n_trials=4, n_iterations=60)
-        serial = run_experiment(config, workers=1)
-        parallel = run_experiment(config, workers=2)
-        for cs, cp in zip(serial, parallel):
-            assert cs.algorithm == cp.algorithm
-            assert np.array_equal(cs.mse_db, cp.mse_db)
-            assert cs.trials_diverged == cp.trials_diverged
 
     def test_pool_no_larger_than_job_list(self, small_config, monkeypatch):
         sizes = []

@@ -188,12 +188,6 @@ def test_empirical_cf_of_no_draws_names_draws():
 
 
 class TestSampler:
-    def test_determinism(self):
-        params = AlphaStableParams(1.2)
-        a = sample(params, np.random.default_rng(99), size=1000)
-        b = sample(params, np.random.default_rng(99), size=1000)
-        assert np.array_equal(a, b)
-
     def test_scalar_and_shape(self):
         params = AlphaStableParams(1.7, -0.2)
         value = sample(params, np.random.default_rng(0))
@@ -212,14 +206,6 @@ class TestSampler:
         params = AlphaStableParams(2.0, 0.0, 1.0, 5.0)
         z = sample(params, np.random.default_rng(2), size=100000)
         assert abs(np.mean(z) - 5.0) < 0.05
-
-    @pytest.mark.parametrize("alpha", [1.2, 2.0])
-    def test_empirical_cf_matches_model(self, alpha):
-        params = AlphaStableParams(alpha)
-        z = sample(params, np.random.default_rng(3), size=100000)
-        for t in CF_GRID:
-            empirical = np.mean(np.exp(1j * t * z))
-            assert abs(empirical - characteristic_function(params, t)) < 0.02
 
     @pytest.mark.parametrize("params", [
         AlphaStableParams(1.5, 0.7, 0.5, 1.0),
