@@ -55,9 +55,9 @@ def _algorithm_keys(spec):
 
 
 # section -> config key -> field of the [channel], [noise] and [run] sections;
-# the fields are SimConfig fields, and AlphaStableParams fields for [noise].
-# An omitted key takes its field's value in _REFERENCE, and a key's type is
-# the type of that value.
+# the fields are those of the object _owner gives the section.  An omitted
+# key takes its field's value in _REFERENCE, and a key's type is the type of
+# that value.
 SECTIONS = {
     "channel": {"n_taps": "n_taps", "sparsity": "sparsity"},
     "noise": {"alpha": "alpha", "beta": "beta", "gamma": "gamma", "delta": "delta"},
@@ -73,12 +73,16 @@ _REFERENCE = SimConfig(
                      for penalty in PENALTY_PARAMS for family in FAMILIES))
 
 
+def _owner(config, section):
+    """The object of ``config`` that holds the fields of ``section`` of SECTIONS."""
+    return config.noise if section == "noise" else config
+
+
 def _sections(config):
     """``(section, [(config key, value), ...])`` of every section ``config``
     resolves to, in file order; there is no [noise] section without noise."""
-    sources = {"channel": config, "noise": config.noise, "run": config}
-    sections = [(name, keys, sources[name]) for name, keys in SECTIONS.items()
-                if sources[name] is not None]
+    sections = [(name, keys, owner) for name, keys in SECTIONS.items()
+                if (owner := _owner(config, name)) is not None]
     sections.extend((f"algorithm.{spec.name}", _algorithm_keys(spec), spec)
                     for spec in config.algorithms)
     return [(name, [(key, getattr(source, field)) for key, field in keys.items()])
@@ -162,8 +166,7 @@ def parse_config(path, run=None, algorithms=None):
     if run:
         parser.read_dict({"run": run})
 
-    references = {"channel": _REFERENCE, "noise": _REFERENCE.noise, "run": _REFERENCE}
-    fields = {name: _read(parser, name, keys, references[name])
+    fields = {name: _read(parser, name, keys, _owner(_REFERENCE, name))
               for name, keys in SECTIONS.items()}
     names = []
     for section in parser.sections():

@@ -44,10 +44,9 @@ import numpy as np
 
 from .errors import ParameterError
 
-FAMILIES = ("gradient", "sign")
-
-# family prefix on the wire
+# family -> its prefix on the wire
 _FAMILY_NAMES = {"gradient": "lms", "sign": "slms"}
+FAMILIES = tuple(_FAMILY_NAMES)
 _NAME_FAMILIES = {v: k for k, v in _FAMILY_NAMES.items()}
 
 # the hyperparameters of each penalty and their defaults; the attractor

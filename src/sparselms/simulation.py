@@ -235,6 +235,7 @@ def run_experiment(config, workers=1):
     Chunks of trials may run in parallel (``workers`` > 1); aggregation is
     in fixed trial order, so the result is identical for any worker count.
     """
+    require_integers(workers=workers)
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     names = [spec.name for spec in config.algorithms]

@@ -9,38 +9,6 @@ from sparselms import (AlgorithmSpec, FilterState, ParameterError, attractor,
 from sparselms.filters import PENALTY_PARAMS, PENALTIES
 
 
-def _sgn(x):
-    if x > 0:
-        return 1.0
-    if x < 0:
-        return -1.0
-    return 0.0
-
-
-def scalar_step_oracle(spec, w, w_prev, x, d):
-    """Plain-Python transcription of the printed update rules."""
-    n = len(w)
-    e = d - sum(w[i] * x[i] for i in range(n))
-    ge = spec.mu * _sgn(e) if spec.family == "sign" else spec.mu * e
-    if spec.penalty == "lp":
-        norm_p = sum(abs(w[i]) ** spec.p for i in range(n)) ** (1.0 / spec.p)
-    out = []
-    for i in range(n):
-        if spec.penalty == "none":
-            att = 0.0
-        elif spec.penalty == "za":
-            att = spec.rho * _sgn(w[i])
-        elif spec.penalty == "rza":
-            att = spec.rho * _sgn(w[i]) / (1.0 + spec.eps * abs(w[i]))
-        elif spec.penalty == "rl1":
-            att = spec.rho * _sgn(w[i]) / (spec.delta + abs(w_prev[i]))
-        else:
-            att = (spec.rho * norm_p ** (1.0 - spec.p) * _sgn(w[i])
-                   / (spec.eps + abs(w[i]) ** (1.0 - spec.p)))
-        out.append(w[i] + ge * x[i] - att)
-    return out
-
-
 class TestStepHandOracles:
     def test_history(self):
         spec = AlgorithmSpec(family="sign", penalty="rl1")
@@ -54,29 +22,6 @@ class TestStepHandOracles:
             step(AlgorithmSpec(), state, np.array([1.0, 2.0, 3.0]), 0.0)
         with pytest.raises(ParameterError, match="does not match"):
             step(AlgorithmSpec(), state, np.array([1.0]), 0.0)
-
-
-ORACLE_PARAMS = {
-    "none": {},
-    "za": {"rho": 0.003},
-    "rza": {"rho": 0.002, "eps": 20.0},
-    "rl1": {"rho": 0.004, "delta": 0.05},
-    "lp": {"rho": 0.001, "eps": 0.05, "p": 0.5},
-}
-
-
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_step_matches_scalar_oracle(name):
-    penalty = AlgorithmSpec.from_name(name).penalty
-    spec = AlgorithmSpec.from_name(name, mu=0.05, **ORACLE_PARAMS[penalty])
-    rng = np.random.default_rng(sum(map(ord, name)))
-    state = FilterState.zeros(6)
-    for _ in range(30):
-        x = rng.standard_normal(6)
-        d = float(rng.standard_normal())
-        expected = scalar_step_oracle(spec, list(state.w), list(state.w_prev), list(x), d)
-        state = step(spec, state, x, d)
-        np.testing.assert_allclose(state.w, expected, rtol=1e-12, atol=1e-15)
 
 
 class TestPenaltyValue:

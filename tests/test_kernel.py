@@ -89,10 +89,20 @@ def _config(**overrides):
     return SimConfig(**kwargs)
 
 
+# every hyperparameter of each penalty off its default, with mu = 0.004, so
+# a rule that reads a default in place of its spec's value fails
+OFF_DEFAULT = {"": {}, "za": {"rho": 0.003}, "rza": {"rho": 0.003, "eps": 10.0},
+               "rl1": {"rho": 0.004, "delta": 0.1}, "lp": {"rho": 0.001, "eps": 0.1, "p": 0.7}}
+
+
 # p = 0.3 takes numpy's general power loops, where p = 0.5 takes sqrt/square
 @pytest.mark.parametrize("spec", [AlgorithmSpec.from_name(n) for n in ALL_NAMES]
-                         + [AlgorithmSpec.from_name(n, p=0.3) for n in ("lms-lp", "slms-lp")],
-                         ids=list(ALL_NAMES) + ["lms-lp-p0.3", "slms-lp-p0.3"])
+                         + [AlgorithmSpec.from_name(n, p=0.3) for n in ("lms-lp", "slms-lp")]
+                         + [AlgorithmSpec.from_name(n, mu=0.004,
+                                                    **OFF_DEFAULT[n.partition("-")[2]])
+                            for n in ALL_NAMES],
+                         ids=list(ALL_NAMES) + ["lms-lp-p0.3", "slms-lp-p0.3"]
+                         + [f"{n}-off-default" for n in ALL_NAMES])
 def test_step_keeps_0_1_0_arithmetic(spec):
     config = _config(n_taps=128, sparsity=8, n_iterations=1500)
     real = make_realization(config, derive_trial_seed(config.master_seed, 0))

@@ -50,9 +50,6 @@ class TestApplySnr:
 
 
 class TestTrialSeeding:
-    def test_deterministic(self):
-        assert derive_trial_seed(5, 3) == derive_trial_seed(5, 3)
-
     def test_varies_with_index_and_master(self):
         seeds = {derive_trial_seed(m, i) for m in range(3) for i in range(50)}
         assert len(seeds) == 150
@@ -118,10 +115,6 @@ class TestRunTrial:
         assert np.all(np.isfinite(nmse[:diverged_at]))
         assert np.isfinite(nmse[0])
 
-    def test_zero_iterations_rejected(self, small_config):
-        with pytest.raises(ParameterError):
-            small_config(n_iterations=0)
-
 
 class TestSimConfigValidation:
     @pytest.mark.parametrize("overrides", [
@@ -160,18 +153,6 @@ class TestSimConfigValidation:
 
 
 class TestRunExperiment:
-    def test_two_trial_curve_is_mse_db_of_trials(self, small_config):
-        config = small_config(n_trials=2, n_iterations=50)
-        spec = config.algorithms[0]
-        curves = run_experiment(config)
-        trials = [run_trial(config, spec, derive_trial_seed(config.master_seed, m))
-                  for m in range(2)]
-        assert [at for _, at in trials] == [-1, -1]
-        manual = 10 * np.log10(np.maximum(
-            np.mean([nmse for nmse, _ in trials], axis=0), 1e-10))
-        np.testing.assert_allclose(curves[0].mse_db, manual, atol=1e-12)
-        assert curves[0].trials_diverged == 0
-
     def test_permuting_algorithms_permutes_output(self, small_config):
         names = ("slms", "slms-rza", "lms-rl1")
         a = run_experiment(small_config(algorithms=_specs(*names), n_iterations=40))
@@ -195,8 +176,8 @@ class TestRunExperiment:
         run_experiment(config, workers=4)
         assert sizes == [2]
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_rejected(self, small_config, workers):
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, None])
+    def test_workers_not_a_positive_integer_rejected(self, small_config, workers):
         with pytest.raises(ParameterError, match="workers"):
             run_experiment(small_config(), workers=workers)
 
