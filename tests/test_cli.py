@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import sparselms
-from sparselms import AlgorithmSpec, AlphaStableParams, LearningCurve, SimConfig, cli
+from sparselms import (AlgorithmSpec, AlphaStableParams, LearningCurve, ParameterError,
+                       SimConfig, cli)
 from sparselms.cli import parse_config
 from sparselms.filters import PENALTY_PARAMS
 
@@ -102,9 +103,8 @@ class TestParseConfig:
         assert code == 2
         assert f"unknown key {key!r} in section [algorithm.{name}]" in capsys.readouterr().err
 
-    # a config file that is not one: its text (bytes as written, None for no
-    # file), extra run arguments, and the start of the message; {path} is
-    # the file's path
+    # a config file that is not one: its text (bytes as written), extra run
+    # arguments, and the start of the message; {path} is the file's path
     @pytest.mark.parametrize("text,argv,message", [
         ("[channel]\nn_taps = 8\nspicyness = 3\n\n[algorithm.slms]\n", [],
          "unknown key 'spicyness' in section [channel]"),
@@ -112,7 +112,6 @@ class TestParseConfig:
         # configparser would otherwise copy [DEFAULT] keys into every section
         ("[DEFAULT]\nseed = 3\n\n[algorithm.slms]\n", [], "unknown section [DEFAULT]"),
         ("[algorithm.super-lms]\nmu = 0.1\n", [], "unknown algorithm name 'super-lms'"),
-        (None, [], "cannot read config file {path}: "),
         (b"[algorithm.slms]\n# caf\xe9\n", [], "cannot read config file {path}: "),
         ("this is not an ini file\n", [], "malformed config file {path}: "),
         ("[channel]\nn_taps = 8\n", [], "no [algorithm.*] sections configured"),
@@ -120,12 +119,12 @@ class TestParseConfig:
         (MINI_CONFIG + "\n[algorithm.lms]\nmu = -1\n", ["--algorithms", "slms"],
          "bad value for 'mu' in [algorithm.lms]"),
     ], ids=["unknown-key", "unknown-section", "default-section", "unknown-algorithm",
-            "missing", "non-utf8", "malformed", "no-algorithms", "unselected-section"])
+            "non-utf8", "malformed", "no-algorithms", "unselected-section"])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, text, argv, message):
         path = tmp_path / "c.ini"
         if isinstance(text, bytes):
             path.write_bytes(text)
-        elif text is not None:
+        else:
             path.write_text(text)
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv"), *argv])
         assert code == 2
@@ -141,6 +140,10 @@ class TestParseConfig:
         # an empty [noise] section gives the template's noise
         path.write_text("[noise]\n\n[algorithm.slms]\n")
         assert replace(parse_config(str(path)), algorithms=template.algorithms) == template
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ParameterError, match="cannot read config file"):
+            parse_config(str(tmp_path / "nope.ini"))
 
     def test_missing_noise_section_means_no_noise(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -167,6 +170,12 @@ class TestSections:
 
 
 class TestCmdRun:
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nope.ini"
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {path}: ")
+
     def test_late_divergence_is_counted_not_averaged_as_inf(self, tmp_path, capsys):
         # lms-za at mu = 0.8 overflows its squared error in every trial,
         # 75-290 updates before any coefficient is non-finite
