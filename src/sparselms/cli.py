@@ -19,10 +19,12 @@ algorithm diverged), 4 output I/O error.
 import argparse
 import configparser
 import contextlib
+import copy
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,7 +32,8 @@ from . import __version__
 from .errors import ParameterError
 from .filters import FAMILIES, PENALTY_PARAMS, AlgorithmSpec
 from .simulation import SimConfig, run_experiment
-from .stable import CF_GRID, AlphaStableParams, characteristic_function, empirical_cf, sample
+from .stable import (BLOCK, CF_GRID, AlphaStableParams, characteristic_function, empirical_cf,
+                     sample)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,6 +44,9 @@ CSV_HEADER = "algorithm,iteration,mse_db,trials_diverged"
 
 # largest |empirical - analytic| CF error at which validate-noise passes
 CF_TOLERANCE = 0.02
+
+# most draws validate-noise takes: at about 1e7 draws/s, 2**40 is 1.3 days
+MAX_SAMPLES = 1 << 40
 
 
 # AlgorithmSpec field -> config key, where they differ (lambda is a Python
@@ -278,21 +284,25 @@ def cmd_validate_noise(args):
                                    gamma=args.gamma, delta=args.delta)
         if args.samples < 1:
             raise ParameterError(f"samples must be >= 1, got {args.samples}")
+        if args.samples > MAX_SAMPLES:
+            raise ParameterError(f"samples must be <= {MAX_SAMPLES}, got {args.samples}")
         if args.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {args.seed}")
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # the draws of sample(params, rng, size=n), streamed BLOCK at a time:
+    # sample draws all of its uniforms before any exponential, and PCG64,
+    # which default_rng always gives, spends one 64-bit output per uniform
+    # double, so a copy of the generator advanced by n yields the
+    # exponentials in the same order
+    n = args.samples
     rng = np.random.default_rng(args.seed)
-    # numpy raises MemoryError for a sample it cannot allocate and ValueError
-    # for one whose size in bytes it cannot represent (2^60 draws and up)
-    try:
-        draws = sample(params, rng, size=args.samples)
-    except (MemoryError, ValueError) as exc:
-        print(f"error: cannot hold samples = {args.samples}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    estimates = empirical_cf(draws)
+    ahead = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(n))
+    split = SimpleNamespace(uniform=rng.uniform, standard_exponential=ahead.standard_exponential)
+    estimates = empirical_cf(sample(params, split, size=min(BLOCK, n - start))
+                             for start in range(0, n, BLOCK))
     print(f"alpha={params.alpha} beta={params.beta} gamma={params.gamma} "
           f"delta={params.delta} samples={args.samples} seed={args.seed}")
     print(f"{'t':>6}  {'|empirical|':>12}  {'|analytic|':>12}  {'|error|':>10}")

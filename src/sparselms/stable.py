@@ -123,6 +123,8 @@ def sample(params, rng, size=None):
     params : AlphaStableParams
     rng : numpy.random.Generator
         Seeded generator; identical state yields an identical stream.
+        Only its ``uniform`` and ``standard_exponential`` methods are
+        called, so any object with those two methods serves.
     size : int or tuple, optional
         None returns a scalar float, otherwise an array of that shape.
 
@@ -231,9 +233,13 @@ def _cms(params, v, w, tmp):
 
 
 def empirical_cf(draws):
-    """Mean of exp(j*t*draws) at each t of CF_GRID, summed over blocks of draws.
+    """Mean of exp(j*t*x) at each t of CF_GRID, summed over blocks of draws.
 
-    ``draws`` may have any shape; it is read as one flat sample.
+    ``draws`` is an array of any shape, read as one flat sample, or an
+    iterable of such arrays, read as their concatenation.  The sums run
+    over blocks of ``BLOCK`` draws in order, so a stream of ``BLOCK``-draw
+    arrays (the last one may be shorter) gives the bits its concatenation
+    gives, without ever being held whole.
     z = exp(j*0.1*x) is written into the real and imaginary parts of one
     complex block from one tangent of the half angle, u = tan(0.05*x):
     cos(0.1*x) = 2/(1 + u*u) - 1 and sin(0.1*x) = u * 2/(1 + u*u).  numpy
@@ -243,30 +249,33 @@ def empirical_cf(draws):
     squares in turn.  Beside the draws, the peak is two complex blocks
     that every block reuses.
     """
-    flat = np.asarray(draws).reshape(-1)
-    if flat.size == 0:
-        raise ParameterError("draws must hold at least one value, got an empty array")
-    z, zk = np.empty((2, min(flat.size, BLOCK)), dtype=complex)
+    z, zk = np.empty((2, BLOCK), dtype=complex)
     sums = [0j] * len(CF_GRID)
-    for start in range(0, flat.size, BLOCK):
-        x = flat[start:start + BLOCK]
-        zb, zkb = z[:x.size], zk[:x.size]
-        # u and 2/(1 + u*u) in zkb's buffer, which zb*zb overwrites
-        u, r = zkb.view(float)[:x.size], zkb.view(float)[x.size:]
-        np.multiply(0.5 * CF_GRID[0], x, out=u)
-        np.tan(u, out=u)
-        np.multiply(u, u, out=r)
-        r += 1.0
-        np.divide(2.0, r, out=r)
-        np.multiply(u, r, out=zb.imag)
-        np.subtract(r, 1.0, out=zb.real)
-        sums[0] += zb.sum()
-        np.multiply(zb, zb, out=zkb)
-        np.multiply(zkb, zkb, out=zkb)
-        np.multiply(zkb, zb, out=zkb)
-        sums[1] += zkb.sum()
-        np.multiply(zkb, zkb, out=zkb)
-        sums[2] += zkb.sum()
-        np.multiply(zkb, zkb, out=zkb)
-        sums[3] += zkb.sum()
-    return [complex(s / flat.size) for s in sums]
+    n = 0
+    for part in [draws] if isinstance(draws, np.ndarray) else draws:
+        flat = np.asarray(part).reshape(-1)
+        n += flat.size
+        for start in range(0, flat.size, BLOCK):
+            x = flat[start:start + BLOCK]
+            zb, zkb = z[:x.size], zk[:x.size]
+            # u and 2/(1 + u*u) in zkb's buffer, which zb*zb overwrites
+            u, r = zkb.view(float)[:x.size], zkb.view(float)[x.size:]
+            np.multiply(0.5 * CF_GRID[0], x, out=u)
+            np.tan(u, out=u)
+            np.multiply(u, u, out=r)
+            r += 1.0
+            np.divide(2.0, r, out=r)
+            np.multiply(u, r, out=zb.imag)
+            np.subtract(r, 1.0, out=zb.real)
+            sums[0] += zb.sum()
+            np.multiply(zb, zb, out=zkb)
+            np.multiply(zkb, zkb, out=zkb)
+            np.multiply(zkb, zb, out=zkb)
+            sums[1] += zkb.sum()
+            np.multiply(zkb, zkb, out=zkb)
+            sums[2] += zkb.sum()
+            np.multiply(zkb, zkb, out=zkb)
+            sums[3] += zkb.sum()
+    if n == 0:
+        raise ParameterError("draws must hold at least one value, got none")
+    return [complex(s / n) for s in sums]

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from sparselms import AlgorithmSpec, AlphaStableParams, SimConfig
+from sparselms.stable import BLOCK
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 SRC = BENCHMARKS.parent / "src"
@@ -73,11 +74,12 @@ def test_simulation_probe_returns_every_metric(layers, tmp_path):
 def test_traced_validate_noise_spans_sampling(layers, tmp_path):
     # cli.validate_noise.cf_check_s is the command's time outside its
     # stable.sample spans, so a sample call the trace misses would count as
-    # CF check time
+    # CF check time; three blocks, the last one partial, are three spans
     mods, tracer, checks = layers.Modules(SRC), layers.Tracer(), layers.Checks()
-    noise = layers.wl.NoiseWorkload(name="tiny_noise", alpha=1.2, beta=0.5, samples=20_000)
+    noise = layers.wl.NoiseWorkload(name="tiny_noise", alpha=1.2, beta=0.5,
+                                    samples=2 * BLOCK + 3)
     args, check, _ = layers.wl.prepare(noise, 1, tmp_path)
     _, root = layers._run_traced_command(mods, tracer, checks, noise.name, args, check)
     assert tracer.names[tracer.name_id[root]] == "cli.main.validate_noise"
-    assert [tracer.parent[k] for k in tracer.indices("stable.sample")] == [root]
+    assert [tracer.parent[k] for k in tracer.indices("stable.sample")] == [root] * 3
     assert checks.failed == 0, checks.problems

@@ -16,6 +16,7 @@ from sparselms import (AlgorithmSpec, AlphaStableParams, LearningCurve, Paramete
                        SimConfig, cli)
 from sparselms.cli import parse_config
 from sparselms.filters import PENALTY_PARAMS
+from sparselms.stable import BLOCK, empirical_cf, sample
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -103,7 +104,7 @@ class TestParseConfig:
         assert code == 2
         assert f"unknown key {key!r} in section [algorithm.{name}]" in capsys.readouterr().err
 
-    # a config file that is not one: its text (bytes as written), extra run
+    # bad input to run: the config file's text (bytes as written), extra run
     # arguments, and the start of the message; {path} is the file's path
     @pytest.mark.parametrize("text,argv,message", [
         ("[channel]\nn_taps = 8\nspicyness = 3\n\n[algorithm.slms]\n", [],
@@ -118,17 +119,41 @@ class TestParseConfig:
         # a section --algorithms leaves out is still validated
         (MINI_CONFIG + "\n[algorithm.lms]\nmu = -1\n", ["--algorithms", "slms"],
          "bad value for 'mu' in [algorithm.lms]"),
+        # a flag is read as its [run] key, with the file's messages
+        (MINI_CONFIG, ["--trials", "0"], "bad value for 'trials' in [run]"),
+        (MINI_CONFIG, ["--iterations", "0"], "bad value for 'iterations' in [run]"),
+        (MINI_CONFIG, ["--seed", "-2"], "bad value for 'seed' in [run]"),
+        (MINI_CONFIG, ["--trials", "abc"], "bad value for 'trials' in [run]: 'abc'"),
+        (MINI_CONFIG, ["--workers", "0"], "--workers must be >= 1, got 0"),
+        (MINI_CONFIG, ["--workers", "-3"], "--workers must be >= 1, got -3"),
+        # snr_db scales gamma to 0, inf or a sample scale gamma**(1/alpha)
+        # that underflows
+        *((f"[noise]\n{noise}\n\n[run]\niterations = 20\ntrials = 1\nsnr_db = {snr_db}\n\n"
+           "[algorithm.slms]\n", [], "bad value for 'snr_db' in [run]")
+          for noise, snr_db in [("alpha = 1.2", "4000"), ("alpha = 1.2", "-4000"),
+                                ("gamma = 1e300", "-100"), ("alpha = 0.1", "400")]),
     ], ids=["unknown-key", "unknown-section", "default-section", "unknown-algorithm",
-            "non-utf8", "malformed", "no-algorithms", "unselected-section"])
+            "non-utf8", "malformed", "no-algorithms", "unselected-section",
+            "flag-trials-0", "flag-iterations-0", "flag-seed--2", "flag-trials-abc",
+            "workers-0", "workers--3", "snr4000", "snr-4000", "snr-100-gamma1e300",
+            "snr400-alpha0.1"])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, text, argv, message):
         path = tmp_path / "c.ini"
         if isinstance(text, bytes):
             path.write_bytes(text)
         else:
             path.write_text(text)
-        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv"), *argv])
+        out = tmp_path / "r.csv"
+        code = cli.main(["run", "--config", str(path), "--out", str(out), *argv])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {message.format(path=path)}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(path=path)}")
+        # bad input is rejected before the output files are created
+        assert not out.exists()
+        # a message names config keys, never the fields they set
+        for keys in cli.SECTIONS.values():
+            for key, field in keys.items():
+                assert key == field or field not in err, field
 
     def test_omitted_keys_take_the_templates_values(self, template_path, tmp_path):
         template = parse_config(template_path)
@@ -264,20 +289,6 @@ class TestCmdRun:
                         "lms-rza": rza, "slms-rza": rza, "lms-rl1": rl1, "slms-rl1": rl1,
                         "lms-lp": lp, "slms-lp": lp}
 
-    @pytest.mark.parametrize("flag,value,key", [
-        ("--trials", "0", "trials"), ("--iterations", "0", "iterations"),
-        ("--seed", "-2", "seed"), ("--trials", "abc", "trials")])
-    def test_bad_run_flag_exits_2_naming_key(self, mini_path, tmp_path, capsys,
-                                             flag, value, key):
-        # a flag is read as its [run] key, with the file's messages
-        code = cli.main(["run", "--config", mini_path, "--out", str(tmp_path / "r.csv"),
-                         flag, value])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"{key!r}" in err and "[run]" in err
-        for field in ("n_trials", "n_iterations", "master_seed"):
-            assert field not in err
-
     @pytest.mark.parametrize("names,message", [
         ("slms,slms", "duplicate"), (",", "unknown algorithm name ''"),
         ("slms-l0", "unknown algorithm name 'slms-l0'")])
@@ -300,29 +311,6 @@ class TestCmdRun:
         # in flag order: lms-za has no section and runs at its defaults
         assert lines == ["algorithm.lms-za.mu = 0.005", "algorithm.lms-za.lambda = 0.0002",
                          "algorithm.slms-za.mu = 0.01", "algorithm.slms-za.lambda = 0.001"]
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_exits_2(self, mini_path, tmp_path, capsys, workers):
-        out = tmp_path / "r.csv"
-        code = cli.main(["run", "--config", mini_path, "--out", str(out),
-                         "--workers", workers])
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("noise,snr_db", [
-        ("alpha = 1.2", "4000"), ("alpha = 1.2", "-4000"), ("gamma = 1e300", "-100"),
-        # the sampler's scale gamma**(1/alpha) underflows
-        ("alpha = 0.1", "400")])
-    def test_snr_db_scaling_noise_out_of_range_exits_2(self, tmp_path, capsys, noise, snr_db):
-        path = tmp_path / "c.ini"
-        path.write_text(f"[noise]\n{noise}\n\n[run]\niterations = 20\ntrials = 1\n"
-                        f"snr_db = {snr_db}\n\n[algorithm.slms]\n")
-        out = tmp_path / "r.csv"
-        code = cli.main(["run", "--config", str(path), "--out", str(out)])
-        assert code == 2
-        assert "snr_db" in capsys.readouterr().err
-        assert not out.exists()
 
     # the sampler's scale gamma**(1/alpha) overflows before any SNR scaling
     @pytest.mark.parametrize("noise", ["alpha = 0.1\ngamma = 1e300", "alpha = 0.5\ngamma = 1e200"],
@@ -495,7 +483,8 @@ class TestValidateNoise:
 
     # bad arguments, by the field that begins the message; at alpha = 0.1
     # the sample scale gamma**(1/alpha) overflows, or underflows to 0, which
-    # would sample all-zero draws
+    # would sample all-zero draws.  A sample above cli.MAX_SAMPLES would run
+    # for days, so it exits before anything is drawn.
     @pytest.mark.parametrize("argv,field", [
         (["--alpha", "0"], "alpha"), (["--alpha", "0.02"], "alpha"),
         (["--alpha", "1.5", "--gamma", "-1"], "gamma"),
@@ -503,7 +492,11 @@ class TestValidateNoise:
         (["--alpha", "1.5", "--seed", "-1"], "seed"),
         (["--alpha", "0.1", "--gamma", "1e300"], "gamma"),
         (["--alpha", "0.1", "--gamma", "1e-40"], "gamma"),
-    ], ids=["alpha0", "alpha0.02", "gamma-1", "samples0", "seed-1", "scale-inf", "scale-0"])
+        (["--alpha", "1.2", "--samples", str(cli.MAX_SAMPLES + 1)], "samples"),
+        *((["--alpha", "1.2", "--samples", str(samples)], "samples")
+          for samples in (10_000_000_000_000, 2**60, 2**63)),
+    ], ids=["alpha0", "alpha0.02", "gamma-1", "samples0", "seed-1", "scale-inf", "scale-0",
+            "samples-over-max", "samples1e13", "samples2pow60", "samples2pow63"])
     def test_bad_argument_exits_2_naming_it(self, capsys, argv, field):
         assert cli.main(["validate-noise", *argv]) == 2
         captured = capsys.readouterr()
@@ -535,8 +528,9 @@ verdict: PASS (tolerance 0.02)
         assert cli.main(["validate-noise", *argv]) == 0
         assert capsys.readouterr().out == expected
 
-    def test_peak_memory_below_two_draw_arrays(self, capsys):
-        samples = 1_000_000
+    # the draws are streamed, so one bound on the peak holds at any size
+    @pytest.mark.parametrize("samples", [1 << 17, 1 << 22])
+    def test_peak_memory_below_twelve_blocks(self, capsys, samples):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -546,17 +540,26 @@ verdict: PASS (tolerance 0.02)
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 2 * 8 * samples, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 12 * 8 * BLOCK, f"peak {peak / 2**20:.2f} MiB"
 
-    # numpy refuses 72.8 TiB at once with a MemoryError, and a size of 2^60
-    # draws or more with a ValueError; neither allocates anything
-    @pytest.mark.parametrize("samples", [10_000_000_000_000, 2**60, 2**63])
-    def test_unallocatable_sample_exits_3_naming_samples(self, capsys, samples):
-        assert cli.main(["validate-noise", "--alpha", "1.2",
-                         "--samples", str(samples)]) == 3
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: cannot hold samples = {samples}: ")
-        assert captured.out == ""
+    # the streamed estimates against the whole-array sample, in each sampler
+    # branch, at and around the block boundaries
+    @pytest.mark.parametrize("alpha,beta", [(1.2, 0.0), (1.0, 0.5), (1.2, 0.5), (2.0, 0.0)],
+                             ids=["sym", "alpha1", "skew", "gauss"])
+    @pytest.mark.parametrize("samples", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_estimates_equal_the_whole_array_oracle(self, monkeypatch, capsys,
+                                                    alpha, beta, samples):
+        estimates = []
+
+        def recording(draws):
+            estimates.append(empirical_cf(draws))
+            return estimates[-1]
+
+        monkeypatch.setattr(cli, "empirical_cf", recording)
+        cli.main(["validate-noise", "--alpha", str(alpha), "--beta", str(beta),
+                  "--samples", str(samples), "--seed", "3"])
+        whole = sample(AlphaStableParams(alpha, beta), np.random.default_rng(3), size=samples)
+        assert estimates == [empirical_cf(whole)]
 
 
 class TestTemplate:

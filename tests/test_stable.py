@@ -187,6 +187,11 @@ def test_empirical_cf_of_no_draws_names_draws():
         empirical_cf(np.empty(0))
 
 
+def test_empirical_cf_of_no_blocks_names_draws():
+    with pytest.raises(ParameterError, match="draws"):
+        empirical_cf(iter([]))
+
+
 class TestSampler:
     def test_scalar_and_shape(self):
         params = AlphaStableParams(1.7, -0.2)
