@@ -13,7 +13,8 @@ template
 
 Exit codes: 0 success, 2 bad input (a ParameterError), 3 runtime failure
 (including a failed noise validation and the case where every trial of some
-algorithm diverged), 4 output I/O error.
+algorithm diverged), 4 output I/O error, stdout included.  Commands raise,
+and ``main`` alone prints the ``error:`` line of exit 2 and exit 4.
 """
 
 import argparse
@@ -234,24 +235,20 @@ def _utc_now():
 
 
 def cmd_run(args):
-    try:
-        if args.workers < 1:
-            raise ParameterError(f"--workers must be >= 1, got {args.workers}")
-        # --seed, --trials and --iterations are named as their [run] keys
-        run = {key: getattr(args, key) for key in SECTIONS["run"]
-               if getattr(args, key, None) is not None}
-        config = parse_config(args.config, run=run, algorithms=args.algorithms)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    import os
+    if args.workers < 1:
+        raise ParameterError(f"--workers must be >= 1, got {args.workers}")
+    # --seed, --trials and --iterations are named as their [run] keys
+    run = {key: getattr(args, key) for key in SECTIONS["run"]
+           if getattr(args, key, None) is not None}
+    config = parse_config(args.config, run=run, algorithms=args.algorithms)
 
+    outputs = (args.out, args.out + ".manifest")
+    if os.path.realpath(args.config) in map(os.path.realpath, outputs):
+        raise ParameterError(f"--out {args.out} would overwrite the config file {args.config}")
     # create both output files first, so an unwritable --out fails before the run
-    try:
-        for path in (args.out, args.out + ".manifest"):
-            open(path, "w").close()
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    for path in outputs:
+        open(path, "w").close()
 
     started = _utc_now()
     try:
@@ -261,15 +258,10 @@ def cmd_run(args):
         return EXIT_RUNTIME
     finished = _utc_now()
 
-    try:
-        _write_curves_csv(args.out, curves)
-        _write_manifest(args.out + ".manifest", config, tool_version=__version__,
-                        config_path=args.config, output_path=args.out,
-                        started_utc=started, finished_utc=finished,
-                        workers=args.workers)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_curves_csv(args.out, curves)
+    _write_manifest(args.out + ".manifest", config, tool_version=__version__,
+                    config_path=args.config, output_path=args.out, started_utc=started,
+                    finished_utc=finished, workers=args.workers)
 
     dead = [c.algorithm for c in curves if c.trials_diverged == config.n_trials]
     if dead:
@@ -279,18 +271,14 @@ def cmd_run(args):
 
 
 def cmd_validate_noise(args):
-    try:
-        params = AlphaStableParams(alpha=args.alpha, beta=args.beta,
-                                   gamma=args.gamma, delta=args.delta)
-        if args.samples < 1:
-            raise ParameterError(f"samples must be >= 1, got {args.samples}")
-        if args.samples > MAX_SAMPLES:
-            raise ParameterError(f"samples must be <= {MAX_SAMPLES}, got {args.samples}")
-        if args.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {args.seed}")
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    params = AlphaStableParams(alpha=args.alpha, beta=args.beta,
+                               gamma=args.gamma, delta=args.delta)
+    if args.samples < 1:
+        raise ParameterError(f"samples must be >= 1, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise ParameterError(f"samples must be <= {MAX_SAMPLES}, got {args.samples}")
+    if args.seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {args.seed}")
 
     # the draws of sample(params, rng, size=n), streamed BLOCK at a time:
     # sample draws all of its uniforms before any exponential, and PCG64,
@@ -321,12 +309,8 @@ def cmd_template(args):
     if args.out is None:
         sys.stdout.write(TEMPLATE)
         return EXIT_OK
-    try:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(TEMPLATE)
-    except OSError as exc:
-        print(f"error: cannot write template: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.out, "w", newline="\n") as fh:
+        fh.write(TEMPLATE)
     return EXIT_OK
 
 
@@ -366,7 +350,22 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a full or closed stdout fails here, not at exit
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # close a stdout that failed, or the interpreter's exit flush fails again
+        try:
+            sys.stdout.flush()
+        except OSError:
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

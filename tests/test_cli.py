@@ -132,11 +132,15 @@ class TestParseConfig:
            "[algorithm.slms]\n", [], "bad value for 'snr_db' in [run]")
           for noise, snr_db in [("alpha = 1.2", "4000"), ("alpha = 1.2", "-4000"),
                                 ("gamma = 1e300", "-100"), ("alpha = 0.1", "400")]),
+        # the sampler's scale gamma**(1/alpha) overflows before any SNR scaling
+        *((f"[noise]\n{noise}\n\n[run]\niterations = 20\ntrials = 1\n\n[algorithm.slms]\n",
+           [], "bad value for 'gamma' in [noise]")
+          for noise in ["alpha = 0.1\ngamma = 1e300", "alpha = 0.5\ngamma = 1e200"]),
     ], ids=["unknown-key", "unknown-section", "default-section", "unknown-algorithm",
             "non-utf8", "malformed", "no-algorithms", "unselected-section",
             "flag-trials-0", "flag-iterations-0", "flag-seed--2", "flag-trials-abc",
             "workers-0", "workers--3", "snr4000", "snr-4000", "snr-100-gamma1e300",
-            "snr400-alpha0.1"])
+            "snr400-alpha0.1", "scale-alpha0.1-gamma1e300", "scale-alpha0.5-gamma1e200"])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, text, argv, message):
         path = tmp_path / "c.ini"
         if isinstance(text, bytes):
@@ -312,17 +316,6 @@ class TestCmdRun:
         assert lines == ["algorithm.lms-za.mu = 0.005", "algorithm.lms-za.lambda = 0.0002",
                          "algorithm.slms-za.mu = 0.01", "algorithm.slms-za.lambda = 0.001"]
 
-    # the sampler's scale gamma**(1/alpha) overflows before any SNR scaling
-    @pytest.mark.parametrize("noise", ["alpha = 0.1\ngamma = 1e300", "alpha = 0.5\ngamma = 1e200"],
-                             ids=["alpha0.1-gamma1e300", "alpha0.5-gamma1e200"])
-    def test_sample_scale_out_of_range_exits_2_naming_gamma(self, tmp_path, capsys, noise):
-        path = tmp_path / "c.ini"
-        path.write_text(f"[noise]\n{noise}\n\n[run]\niterations = 20\ntrials = 1\n\n"
-                        f"[algorithm.slms]\n")
-        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv")])
-        assert code == 2
-        assert "bad value for 'gamma' in [noise]" in capsys.readouterr().err
-
     @pytest.mark.parametrize("section,key,value", [
         ("channel", "n_taps", "many"), ("channel", "n_taps", "0"), ("channel", "sparsity", "0"),
         ("noise", "alpha", "heavy"), ("noise", "alpha", "0.05"), ("noise", "alpha", "3.0"),
@@ -362,7 +355,7 @@ class TestCmdRun:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_unwritable_out_exits_4(self, mini_path, tmp_path, monkeypatch):
+    def test_unwritable_out_exits_4(self, mini_path, tmp_path, capsys, monkeypatch):
         # the output files are created before the run, so the run never starts
         def run_experiment(*args, **kwargs):
             pytest.fail("run_experiment called with an unwritable --out")
@@ -371,6 +364,20 @@ class TestCmdRun:
         code = cli.main(["run", "--config", mini_path,
                          "--out", str(tmp_path / "no" / "dir" / "r.csv")])
         assert code == 4
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+    # the CSV, or its manifest, on the config file itself, spelled another way
+    @pytest.mark.parametrize("name,out", [("c.ini", "./c.ini"), ("r.csv.manifest", "./r.csv")],
+                             ids=["csv", "manifest"])
+    def test_out_naming_the_config_exits_2(self, tmp_path, capsys, name, out):
+        path = tmp_path / name
+        path.write_text(MINI_CONFIG)
+        out = f"{tmp_path}/{out}"
+        assert cli.main(["run", "--config", str(path), "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out} would overwrite the config file {path}\n")
+        assert path.read_text() == MINI_CONFIG
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_experiment_failure_exits_3_leaving_empty_outputs(self, mini_path, tmp_path,
                                                               capsys, monkeypatch):
@@ -580,7 +587,7 @@ class TestTemplate:
         out = tmp_path / "missing" / "x.ini"
         assert cli.main(["template", "--out", str(out)]) == 4
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: cannot write template: ")
+        assert captured.err.startswith("error: cannot write output: ")
         assert captured.out == ""
         assert not out.exists()
 
@@ -601,13 +608,37 @@ class TestPackaging:
     def test_console_script_is_main(self):
         assert self._pyproject()["project"]["scripts"] == {"sparselms": "sparselms.cli:main"}
 
-    def test_module_run_exits_with_mains_code(self):
-        # the benchmark runs the CLI as ``python -m sparselms.cli``
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run([sys.executable, "-m", "sparselms.cli", "validate-noise",
-                               "--alpha", "0"], capture_output=True, text=True, env=env)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: alpha")
+    # the benchmark runs the CLI as ``python -m sparselms.cli``; stdout is
+    # captured, a full device, or a pipe whose reader has gone
+    @pytest.mark.parametrize("argv,stdout,code,message", [
+        (["validate-noise", "--alpha", "0"], None, 2, "error: alpha"),
+        (["template"], "/dev/full", 4, "error: cannot write output: "),
+        (["validate-noise", "--samples", "1000"], "/dev/full", 4, "error: cannot write output: "),
+        (["validate-noise", "--samples", "1000"], "closed pipe", 4,
+         "error: cannot write output: "),
+    ], ids=["bad-input", "template-full", "validate-noise-full", "validate-noise-closed-pipe"])
+    def test_module_run_exits_with_mains_code(self, argv, stdout, code, message):
+        fd = subprocess.PIPE
+        if stdout == "closed pipe":
+            read, fd = os.pipe()
+            os.close(read)
+        elif stdout is not None:
+            if not os.path.exists(stdout):
+                pytest.skip(f"no {stdout}")
+            fd = os.open(stdout, os.O_WRONLY)
+        # stdout buffered, as by default, so a failed write can wait for a flush
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        try:
+            proc = subprocess.run([sys.executable, "-m", "sparselms.cli", *argv], stdout=fd,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            if fd != subprocess.PIPE:
+                os.close(fd)
+        assert proc.returncode == code
+        # one line, and no traceback from a failed write at interpreter exit
+        assert proc.stderr.startswith(message)
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 class TestReadme:

@@ -25,32 +25,22 @@ class TestStepHandOracles:
 
 
 class TestPenaltyValue:
-    def test_za_is_l1(self):
-        spec = AlgorithmSpec(penalty="za")
-        assert penalty_value(spec, np.array([1.0, -2.0, 0.0])) == 3.0
-
-    def test_rza_at_zero(self):
-        spec = AlgorithmSpec(penalty="rza", eps=20.0)
-        assert penalty_value(spec, np.array([0.0])) == 0.0
-
-    def test_lp_single_element(self):
-        spec = AlgorithmSpec(penalty="lp", p=0.5)
-        assert penalty_value(spec, np.array([4.0])) == pytest.approx(4.0, rel=1e-12)
-
-    def test_none_is_zero(self):
-        spec = AlgorithmSpec(penalty="none")
-        assert penalty_value(spec, np.array([1.0, 2.0])) == 0.0
-
-    def test_rl1_uses_frozen_weights(self):
-        spec = AlgorithmSpec(penalty="rl1", delta=0.5)
-        w = np.array([1.0, -2.0])
-        w_prev = np.array([0.5, 1.5])
-        assert penalty_value(spec, w, w_prev) == pytest.approx(1.0 / 1.0 + 2.0 / 2.0)
-
-    def test_rl1_without_w_prev_weighs_from_the_startup_zeros(self):
-        spec = AlgorithmSpec(penalty="rl1", delta=0.5)
-        w = np.array([1.0, -2.0, 0.25])
-        assert penalty_value(spec, w) == penalty_value(spec, w, np.zeros(3)) == 6.5
+    # spec, w, w_prev (None: left at its default) and the penalty's value
+    @pytest.mark.parametrize("spec,w,w_prev,expected", [
+        (AlgorithmSpec(penalty="za"), [1.0, -2.0, 0.0], None, 3.0),
+        (AlgorithmSpec(penalty="rza", eps=20.0), [0.0], None, 0.0),
+        (AlgorithmSpec(penalty="lp", p=0.5), [4.0], None, pytest.approx(4.0, rel=1e-12)),
+        (AlgorithmSpec(penalty="none"), [1.0, 2.0], None, 0.0),
+        (AlgorithmSpec(penalty="rl1", delta=0.5), [1.0, -2.0], [0.5, 1.5],
+         pytest.approx(1.0 / 1.0 + 2.0 / 2.0)),
+        # without w_prev, rl1 weighs from the startup zeros
+        (AlgorithmSpec(penalty="rl1", delta=0.5), [1.0, -2.0, 0.25], None, 6.5),
+        (AlgorithmSpec(penalty="rl1", delta=0.5), [1.0, -2.0, 0.25], [0.0, 0.0, 0.0], 6.5),
+    ], ids=["za-is-l1", "rza-at-zero", "lp-single-element", "none-is-zero",
+            "rl1-uses-frozen-weights", "rl1-without-w-prev", "rl1-zero-w-prev"])
+    def test_penalty_value(self, spec, w, w_prev, expected):
+        w_prev = None if w_prev is None else np.array(w_prev)
+        assert penalty_value(spec, np.array(w), w_prev) == expected
 
 
 class TestInvariants:
