@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .errors import ParameterError
 from .filters import FAMILIES, PENALTY_PARAMS, AlgorithmSpec
-from .simulation import SimConfig, run_experiment
+from .simulation import SimConfig, chunk_layout, run_experiment
 from .stable import (BLOCK, CF_GRID, AlphaStableParams, characteristic_function, empirical_cf,
                      sample)
 
@@ -250,18 +250,22 @@ def cmd_run(args):
     for path in outputs:
         open(path, "w").close()
 
+    # decided once, so the manifest records the chunks and processes that ran
+    layout = chunk_layout(config, args.workers)
     started = _utc_now()
     try:
-        curves = run_experiment(config, workers=args.workers)
+        curves = run_experiment(config, workers=args.workers, layout=layout)
     except Exception as exc:  # noqa: BLE001 - surface anything as a runtime failure
         print(f"error: experiment failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     finished = _utc_now()
 
     _write_curves_csv(args.out, curves)
+    chunks, processes = layout
     _write_manifest(args.out + ".manifest", config, tool_version=__version__,
                     config_path=args.config, output_path=args.out, started_utc=started,
-                    finished_utc=finished, workers=args.workers)
+                    finished_utc=finished, workers=args.workers, chunks=len(chunks),
+                    processes=processes)
 
     dead = [c.algorithm for c in curves if c.trials_diverged == config.n_trials]
     if dead:

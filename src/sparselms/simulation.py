@@ -6,9 +6,10 @@ master seed and the trial index only, so every algorithm sees the identical
 realization of a given trial (paired comparisons), results do not depend on
 execution order or the number of workers, and reruns are bit-identical.
 
-Trials run in fixed-size chunks: one loop advances every algorithm on every
-trial of a chunk by one sample per iteration (see ``filters.Rules``), with
-arithmetic identical to a per-sample loop over ``filters.step``.
+Trials run in chunks sized by memory (see ``chunk_layout``): one loop
+advances every algorithm on every trial of a chunk by one sample per
+iteration (see ``filters.Rules``), with arithmetic identical to a
+per-sample loop over ``filters.step``.
 
 The figure of merit is the trial-averaged normalized squared tap error in
 decibels,
@@ -47,10 +48,16 @@ from .stable import AlphaStableParams, sample
 MSE_FLOOR_DB = -100.0
 _FLOOR_RATIO = 10.0 ** (MSE_FLOOR_DB / 10.0)
 
-# trials per unit of work: the kernel advances this many trials of every
-# algorithm at once, and the process pool hands out one chunk per job.  Small
-# chunks keep a worker's arrays in cache and its memory flat.
-_TRIAL_CHUNK = 16
+# a chunk holds _MIN_CHUNK trials, or more while they fit _CHUNK_VALUES
+# float64 values (2 MiB) as _trial_values counts them.  Short trials then
+# share a chunk, so each of its Python time steps is paid once for many
+# trials; long or wide trials still get 16 a chunk, so they share each
+# step's cost too.  Twice this budget puts all 150 trials of a short
+# two-algorithm run (16 taps, 250 iterations) in one chunk, which raises
+# the command's peak RSS by 3 MB (10%); this one splits them 75/75 at
+# +0.9 MB.
+_MIN_CHUNK = 16
+_CHUNK_VALUES = 2 ** 18
 
 
 @dataclass
@@ -221,35 +228,72 @@ def _filter_block(specs, realizations):
 
 
 def _trial_worker(args):
-    """The pool's unit of work: trials ``start`` to ``stop`` of every
-    algorithm; returns ``(nmse, diverged_at)`` of that chunk."""
+    """One chunk of ``chunk_layout``, the pool's unit of work: trials
+    ``start`` to ``stop`` of every algorithm; returns ``(nmse,
+    diverged_at)`` of that chunk."""
     config, start, stop = args
     realizations = [make_realization(config, derive_trial_seed(config.master_seed, m))
                     for m in range(start, stop)]
     return _filter_block(config.algorithms, realizations)
 
 
-def run_experiment(config, workers=1):
-    """Run all algorithms over all trials and average the learning curves.
+def _trial_values(config):
+    """A trial's peak in float64 values in a pool process, rounded up: for
+    each algorithm, and once more for the trial's input, noise and desired
+    signal, 4 values a time step (the trace, its copy for pickling and the
+    pickled bytes) and 8 a tap (coefficients and the update's temporaries)."""
+    return 4 * (len(config.algorithms) + 1) * (config.n_iterations + 2 * config.n_taps)
 
-    Chunks of trials may run in parallel (``workers`` > 1); aggregation is
-    in fixed trial order, so the result is identical for any worker count.
+
+def chunk_layout(config, workers):
+    """How ``run_experiment`` splits the trials: ``(chunks, processes)``.
+
+    ``chunks`` lists ``(start, stop)`` trial ranges that cover every trial
+    once, in order, with sizes that differ by at most 1, the larger first.  A
+    chunk holds no more trials than ``_MIN_CHUNK`` or than fit
+    ``_CHUNK_VALUES``, whichever is more.  ``processes``, the pool's size
+    when ``workers`` > 1, is ``min(workers, CPUs, chunks)``; the chunks
+    number the fewest multiple of it, or one a trial if that is fewer, so
+    the processes finish together.
     """
+    import os
     require_integers(workers=workers)
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
+    n = config.n_trials
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    count = -(-n // max(_MIN_CHUNK, _CHUNK_VALUES // _trial_values(config)))
+    processes = min(workers, cpus, count)
+    count = min(n, -(-count // processes) * processes)
+    # the larger chunks first: a later chunk's arrays then fit the blocks an
+    # earlier one freed (the serial template run peaks 1.5 MB lower than
+    # with the smaller chunks first)
+    size, larger = divmod(n, count)
+    bounds = [k * size + min(k, larger) for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:])), processes
+
+
+def run_experiment(config, workers=1, layout=None):
+    """Run all algorithms over all trials and average the learning curves.
+
+    Chunks of trials may run in parallel (``workers`` > 1) as ``layout``
+    says, which is ``chunk_layout(config, workers)`` if not given;
+    aggregation is in fixed trial order, so the result is identical for any
+    worker count and layout.
+    """
+    chunks, processes = layout or chunk_layout(config, workers)
     names = [spec.name for spec in config.algorithms]
     # running sums over the completed trials, added in trial order
     sums = np.zeros((len(names), config.n_iterations))
     diverged = np.zeros(len(names), dtype=int)
 
-    jobs = [(config, start, min(start + _TRIAL_CHUNK, config.n_trials))
-            for start in range(0, config.n_trials, _TRIAL_CHUNK)]
+    jobs = [(config, start, stop) for start, stop in chunks]
     with contextlib.ExitStack() as stack:
         if workers > 1:
-            # no more processes than jobs: the pool may fork all of them at once
-            pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=min(workers, len(jobs))))
+            # no more processes than chunks or CPUs: the pool may fork all of
+            # them at once
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=processes))
             results = pool.map(_trial_worker, jobs)
         else:
             results = map(_trial_worker, jobs)

@@ -27,3 +27,28 @@ def small_config():
         return SimConfig(**kwargs)
 
     return build
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Stands in for ``simulation.ProcessPoolExecutor`` without starting a
+    process: records each pool's ``max_workers`` and runs its jobs here."""
+    from sparselms import simulation
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    return sizes

@@ -13,7 +13,7 @@ import pytest
 
 import sparselms
 from sparselms import (AlgorithmSpec, AlphaStableParams, LearningCurve, ParameterError,
-                       SimConfig, cli)
+                       SimConfig, cli, simulation)
 from sparselms.cli import parse_config
 from sparselms.filters import PENALTY_PARAMS
 from sparselms.stable import BLOCK, empirical_cf, sample
@@ -256,6 +256,26 @@ class TestCmdRun:
         assert "seed = 9" in manifest
         assert "algorithm.slms-za.lambda = 0.0002" in manifest
         assert "started_utc = " in manifest and "finished_utc = " in manifest
+
+    def test_manifest_records_the_processes_used(self, mini_path, tmp_path, monkeypatch,
+                                                 recording_pool):
+        # 40 trials in chunks of 16 make 3 chunks: --workers 4 on 3 CPUs
+        # starts 3 processes, one chunk each
+        monkeypatch.setattr(simulation, "_CHUNK_VALUES", 0)
+        serial, pooled = str(tmp_path / "s.csv"), str(tmp_path / "p.csv")
+        for out, workers in ((serial, "1"), (pooled, "4")):
+            # the affinity drops to one CPU after its first reading, as it
+            # may during a run: the manifest still names what ran
+            readings = iter([{0, 1, 2}])
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: next(readings, {0}))
+            assert cli.main(["run", "--config", mini_path, "--out", out, "--trials", "40",
+                             "--iterations", "20", "--workers", workers]) == 0
+        assert recording_pool == [3]
+        assert Path(serial).read_bytes() == Path(pooled).read_bytes()
+        manifest = Path(pooled + ".manifest").read_text().splitlines()
+        assert manifest[5:8] == ["workers = 4", "chunks = 3", "processes = 3"]
+        assert Path(serial + ".manifest").read_text().splitlines()[5:8] == [
+            "workers = 1", "chunks = 3", "processes = 1"]
 
     def test_manifest_without_noise_section_says_none(self, tmp_path):
         path = tmp_path / "c.ini"

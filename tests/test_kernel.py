@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from conftest import ALL_NAMES
 from sparselms import (AlgorithmSpec, AlphaStableParams, FilterState,
                        SimConfig, derive_trial_seed, make_realization,
-                       run_experiment, step)
+                       run_experiment, simulation, step)
 from sparselms.channel import regressor
 from sparselms.filters import Rules
-from sparselms.simulation import _TRIAL_CHUNK, _filter_block
+from sparselms.simulation import _filter_block, chunk_layout
 
 
 def loop_trial(spec, realization):
@@ -174,12 +174,12 @@ def test_noiseless_run():
 
 @pytest.fixture(scope="module")
 def chunked():
-    """A config of more trials than one chunk, not a multiple of the chunk
-    size, and its curves from the per-sample loop."""
+    """A config of 19 trials, which chunks of 7 trials split unevenly, and
+    its curves from the per-sample loop."""
     specs = (AlgorithmSpec.from_name("slms-za"), AlgorithmSpec.from_name("lms-rl1"),
              AlgorithmSpec(family="gradient", penalty="za", mu=0.35))
     config = _config(n_taps=32, noise=AlphaStableParams(1.0), snr_db=0.0,
-                     n_iterations=600, n_trials=_TRIAL_CHUNK + 3, algorithms=specs)
+                     n_iterations=600, n_trials=19, algorithms=specs)
     realizations = [make_realization(config, derive_trial_seed(config.master_seed, m))
                     for m in range(config.n_trials)]
     expected = []
@@ -195,14 +195,50 @@ def chunked():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_chunked_experiment_matches_loop(chunked, workers):
+def test_chunked_experiment_matches_loop(chunked, workers, monkeypatch):
     config, expected = chunked
+    # chunks of at most 7 trials (7/6/6, or 5/5/5/4 on two processes), so
+    # the run crosses uneven chunk boundaries
+    monkeypatch.setattr(simulation, "_MIN_CHUNK", 7)
+    monkeypatch.setattr(simulation, "_CHUNK_VALUES", 0)
+    chunks, _ = chunk_layout(config, workers)
+    assert len({stop - start for start, stop in chunks}) == 2
     curves = run_experiment(config, workers=workers)
     for curve, (name, mse_db, trials_diverged) in zip(curves, expected):
         assert curve.algorithm == name
         assert curve.trials_diverged == trials_diverged
         assert np.array_equal(curve.mse_db, mse_db)
     assert 0 < curves[2].trials_diverged < config.n_trials
+
+
+@pytest.fixture(scope="module")
+def every_rule():
+    """All ten names, lp at p = 0.3 and lms-za at the chunked fixture's
+    diverging mu = 0.35, and their curves from one serial chunk."""
+    specs = tuple(AlgorithmSpec.from_name(n, mu=0.35) if n == "lms-za"
+                  else AlgorithmSpec.from_name(n, p=0.3) if n.endswith("-lp")
+                  else AlgorithmSpec.from_name(n) for n in ALL_NAMES)
+    config = _config(n_taps=32, noise=AlphaStableParams(1.0), snr_db=0.0,
+                     n_iterations=600, n_trials=10, algorithms=specs)
+    assert chunk_layout(config, 1) == ([(0, 10)], 1)
+    curves = run_experiment(config)
+    assert 0 < curves[ALL_NAMES.index("lms-za")].trials_diverged < config.n_trials
+    return config, curves
+
+
+@pytest.mark.parametrize("chunks", [[(m, m + 1) for m in range(10)],
+                                    [(0, 3), (3, 6), (6, 8), (8, 10)],
+                                    [(0, 3), (3, 10)],
+                                    [(0, 10)]],
+                         ids=["1-trial", "3-trials", "3-and-7", "one-chunk"])
+@pytest.mark.parametrize("workers", [1, 2], ids=["workers1", "workers2"])
+def test_curves_do_not_depend_on_the_chunk_layout(every_rule, workers, chunks):
+    config, expected = every_rule
+    curves = run_experiment(config, workers=workers, layout=(chunks, min(workers, len(chunks))))
+    for curve, twin in zip(curves, expected, strict=True):
+        assert curve.algorithm == twin.algorithm
+        assert curve.trials_diverged == twin.trials_diverged
+        assert np.array_equal(curve.mse_db, twin.mse_db, equal_nan=True), curve.algorithm
 
 
 @settings(max_examples=25, deadline=None)

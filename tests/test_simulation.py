@@ -1,7 +1,13 @@
 import math
+import os
+import pickle
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import ALL_NAMES
@@ -152,6 +158,57 @@ class TestSimConfigValidation:
             small_config(noise=1.2)
 
 
+class TestChunkLayout:
+    # one-trial chunks that do not divide among the processes
+    @example(n_trials=5, n_algorithms=1, n_iterations=1, n_taps=1, floor=1, budget=0,
+             workers=2, cpus=2)
+    @given(n_trials=st.integers(1, 200), n_algorithms=st.integers(1, 10),
+           n_iterations=st.integers(1, 5000), n_taps=st.integers(1, 512),
+           floor=st.integers(1, 32), budget=st.integers(0, 2**20),
+           workers=st.integers(1, 16), cpus=st.integers(1, 16))
+    def test_even_cover_within_budget(self, n_trials, n_algorithms, n_iterations, n_taps,
+                                      floor, budget, workers, cpus):
+        # chunk_layout reads only these four fields of a config
+        config = SimpleNamespace(n_trials=n_trials, algorithms=(None,) * n_algorithms,
+                                 n_iterations=n_iterations, n_taps=n_taps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "_MIN_CHUNK", floor)
+            mp.setattr(simulation, "_CHUNK_VALUES", budget)
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            chunks, processes = simulation.chunk_layout(config, workers)
+        trial_values = 4 * (n_algorithms + 1) * (n_iterations + 2 * n_taps)
+        per_chunk = max(floor, budget // trial_values)
+        sizes = [stop - start for start, stop in chunks]
+        assert [m for start, stop in chunks for m in range(start, stop)] == list(range(n_trials))
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert sizes == sorted(sizes, reverse=True)
+        assert max(sizes) <= per_chunk
+        assert processes == min(workers, cpus, -(-n_trials // per_chunk))
+        assert len(chunks) % processes == 0 or len(chunks) == n_trials
+        # and no more chunks than that: one fewer per process would not fit
+        if len(chunks) > processes:
+            fewer = len(chunks) - processes
+            assert -(-n_trials // fewer) > per_chunk
+
+    @pytest.mark.parametrize("names", [("slms",), ("lms-lp", "slms-lp"), ALL_NAMES],
+                             ids=["one", "lp-pair", "all-ten"])
+    @pytest.mark.parametrize("n_iterations, n_taps", [(250, 16), (10, 128)])
+    def test_budget_sized_chunk_peaks_within_budget(self, small_config, names,
+                                                    n_iterations, n_taps):
+        # the chunk's arrays and its pickled result, as in a pool process
+        config = small_config(n_taps=n_taps, n_iterations=n_iterations, n_trials=400,
+                              algorithms=tuple(AlgorithmSpec.from_name(n) for n in names))
+        (start, stop), *_ = simulation.chunk_layout(config, 1)[0]
+        assert stop - start > simulation._MIN_CHUNK
+        tracemalloc.start()
+        try:
+            pickle.dumps(simulation._trial_worker((config, start, stop)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * simulation._CHUNK_VALUES
+
+
 class TestRunExperiment:
     def test_permuting_algorithms_permutes_output(self, small_config):
         names = ("slms", "slms-rza", "lms-rl1")
@@ -163,18 +220,16 @@ class TestRunExperiment:
             twin = next(c for c in b if c.algorithm == curve.algorithm)
             assert np.array_equal(curve.mse_db, twin.mse_db)
 
-    def test_pool_no_larger_than_job_list(self, small_config, monkeypatch):
-        sizes = []
-
-        class RecordingPool(simulation.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
-        config = small_config(n_trials=simulation._TRIAL_CHUNK + 1, n_iterations=20)
-        run_experiment(config, workers=4)
-        assert sizes == [2]
+    def test_pool_no_larger_than_job_list(self, small_config, monkeypatch, recording_pool):
+        # (workers, CPUs, trials, pool size) in chunks of 16 trials: bounded
+        # in turn by the CPUs, the workers, the chunks (33 trials make 3)
+        # and one CPU; no process starts
+        monkeypatch.setattr(simulation, "_CHUNK_VALUES", 0)
+        cases = [(4, 2, 64, 2), (3, 8, 64, 3), (4, 8, 33, 3), (2, 1, 40, 1)]
+        for workers, cpus, n_trials, _ in cases:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            run_experiment(small_config(n_trials=n_trials, n_iterations=20), workers=workers)
+        assert recording_pool == [size for *_, size in cases]
 
     @pytest.mark.parametrize("workers", [0, -3, 1.5, None])
     def test_workers_not_a_positive_integer_rejected(self, small_config, workers):
