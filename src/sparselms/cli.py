@@ -310,10 +310,8 @@ def cmd_validate_noise(args):
 
 
 def cmd_template(args):
-    if args.out is None:
-        sys.stdout.write(TEMPLATE)
-        return EXIT_OK
-    with open(args.out, "w", newline="\n") as fh:
+    with (contextlib.nullcontext(sys.stdout) if args.out is None
+          else open(args.out, "w", newline="\n")) as fh:
         fh.write(TEMPLATE)
     return EXIT_OK
 

@@ -32,6 +32,7 @@ keeping the filters in their stable operating range.
 
 import contextlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -54,8 +55,8 @@ _FLOOR_RATIO = 10.0 ** (MSE_FLOOR_DB / 10.0)
 # trials; long or wide trials still get 16 a chunk, so they share each
 # step's cost too.  Twice this budget puts all 150 trials of a short
 # two-algorithm run (16 taps, 250 iterations) in one chunk, which raises
-# the command's peak RSS by 3 MB (10%); this one splits them 75/75 at
-# +0.9 MB.
+# the command's peak RSS by 3 MB (10%); this one splits them 77/73 at
+# +1.1 MB.
 _MIN_CHUNK = 16
 _CHUNK_VALUES = 2 ** 18
 
@@ -248,30 +249,21 @@ def _trial_values(config):
 def chunk_layout(config, workers):
     """How ``run_experiment`` splits the trials: ``(chunks, processes)``.
 
-    ``chunks`` lists ``(start, stop)`` trial ranges that cover every trial
-    once, in order, with sizes that differ by at most 1, the larger first.  A
-    chunk holds no more trials than ``_MIN_CHUNK`` or than fit
-    ``_CHUNK_VALUES``, whichever is more.  ``processes``, the pool's size
-    when ``workers`` > 1, is ``min(workers, CPUs, chunks)``; the chunks
-    number the fewest multiple of it, or one a trial if that is fewer, so
-    the processes finish together.
+    ``chunks`` lists consecutive ``(start, stop)`` trial ranges of
+    ``_MIN_CHUNK`` trials, or of as many as fit ``_CHUNK_VALUES`` if that is
+    more; only the last may be shorter.  They depend on the config alone.
+    ``processes``, the pool's size when ``workers`` > 1, is
+    ``min(workers, CPUs, chunks)``.
     """
-    import os
     require_integers(workers=workers)
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     n = config.n_trials
+    size = max(_MIN_CHUNK, _CHUNK_VALUES // _trial_values(config))
+    chunks = [(start, min(start + size, n)) for start in range(0, n, size)]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    count = -(-n // max(_MIN_CHUNK, _CHUNK_VALUES // _trial_values(config)))
-    processes = min(workers, cpus, count)
-    count = min(n, -(-count // processes) * processes)
-    # the larger chunks first: a later chunk's arrays then fit the blocks an
-    # earlier one freed (the serial template run peaks 1.5 MB lower than
-    # with the smaller chunks first)
-    size, larger = divmod(n, count)
-    bounds = [k * size + min(k, larger) for k in range(count + 1)]
-    return list(zip(bounds, bounds[1:])), processes
+    return chunks, min(workers, cpus, len(chunks))
 
 
 def run_experiment(config, workers=1, layout=None):

@@ -197,8 +197,8 @@ def chunked():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_chunked_experiment_matches_loop(chunked, workers, monkeypatch):
     config, expected = chunked
-    # chunks of at most 7 trials (7/6/6, or 5/5/5/4 on two processes), so
-    # the run crosses uneven chunk boundaries
+    # chunks of 7 trials (7/7/5 at any worker count), so the run crosses
+    # uneven chunk boundaries
     monkeypatch.setattr(simulation, "_MIN_CHUNK", 7)
     monkeypatch.setattr(simulation, "_CHUNK_VALUES", 0)
     chunks, _ = chunk_layout(config, workers)

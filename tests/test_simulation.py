@@ -166,8 +166,8 @@ class TestChunkLayout:
            n_iterations=st.integers(1, 5000), n_taps=st.integers(1, 512),
            floor=st.integers(1, 32), budget=st.integers(0, 2**20),
            workers=st.integers(1, 16), cpus=st.integers(1, 16))
-    def test_even_cover_within_budget(self, n_trials, n_algorithms, n_iterations, n_taps,
-                                      floor, budget, workers, cpus):
+    def test_fixed_size_cover_within_budget(self, n_trials, n_algorithms, n_iterations,
+                                            n_taps, floor, budget, workers, cpus):
         # chunk_layout reads only these four fields of a config
         config = SimpleNamespace(n_trials=n_trials, algorithms=(None,) * n_algorithms,
                                  n_iterations=n_iterations, n_taps=n_taps)
@@ -176,19 +176,16 @@ class TestChunkLayout:
             mp.setattr(simulation, "_CHUNK_VALUES", budget)
             mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             chunks, processes = simulation.chunk_layout(config, workers)
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+            serial, _ = simulation.chunk_layout(config, 1)
         trial_values = 4 * (n_algorithms + 1) * (n_iterations + 2 * n_taps)
         per_chunk = max(floor, budget // trial_values)
         sizes = [stop - start for start, stop in chunks]
         assert [m for start, stop in chunks for m in range(start, stop)] == list(range(n_trials))
-        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-        assert sizes == sorted(sizes, reverse=True)
-        assert max(sizes) <= per_chunk
-        assert processes == min(workers, cpus, -(-n_trials // per_chunk))
-        assert len(chunks) % processes == 0 or len(chunks) == n_trials
-        # and no more chunks than that: one fewer per process would not fit
-        if len(chunks) > processes:
-            fewer = len(chunks) - processes
-            assert -(-n_trials // fewer) > per_chunk
+        assert set(sizes[:-1]) <= {per_chunk} and 1 <= sizes[-1] <= per_chunk
+        assert processes == min(workers, cpus, len(chunks))
+        # the chunks depend on the config alone, not on workers or CPUs
+        assert chunks == serial
 
     @pytest.mark.parametrize("names", [("slms",), ("lms-lp", "slms-lp"), ALL_NAMES],
                              ids=["one", "lp-pair", "all-ten"])
