@@ -20,7 +20,7 @@ and ``main`` alone prints the ``error:`` line of exit 2 and exit 4.
 import argparse
 import configparser
 import contextlib
-import copy
+import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -235,7 +235,6 @@ def _utc_now():
 
 
 def cmd_run(args):
-    import os
     if args.workers < 1:
         raise ParameterError(f"--workers must be >= 1, got {args.workers}")
     # --seed, --trials and --iterations are named as their [run] keys
@@ -250,18 +249,18 @@ def cmd_run(args):
     for path in outputs:
         open(path, "w").close()
 
-    # decided once, so the manifest records the chunks and processes that ran
-    layout = chunk_layout(config, args.workers)
+    # for the manifest: chunk_layout depends on the config and --workers
+    # alone, so these are the chunks and pool that run_experiment runs
+    chunks, processes = chunk_layout(config, args.workers)
     started = _utc_now()
     try:
-        curves = run_experiment(config, workers=args.workers, layout=layout)
+        curves = run_experiment(config, workers=args.workers)
     except Exception as exc:  # noqa: BLE001 - surface anything as a runtime failure
         print(f"error: experiment failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     finished = _utc_now()
 
     _write_curves_csv(args.out, curves)
-    chunks, processes = layout
     _write_manifest(args.out + ".manifest", config, tool_version=__version__,
                     config_path=args.config, output_path=args.out, started_utc=started,
                     finished_utc=finished, workers=args.workers, chunks=len(chunks),
@@ -287,11 +286,12 @@ def cmd_validate_noise(args):
     # the draws of sample(params, rng, size=n), streamed BLOCK at a time:
     # sample draws all of its uniforms before any exponential, and PCG64,
     # which default_rng always gives, spends one 64-bit output per uniform
-    # double, so a copy of the generator advanced by n yields the
-    # exponentials in the same order
+    # double, so a second generator from the same seed, advanced by n,
+    # yields the exponentials in the same order
     n = args.samples
     rng = np.random.default_rng(args.seed)
-    ahead = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(n))
+    ahead = np.random.default_rng(args.seed)
+    ahead.bit_generator.advance(n)
     split = SimpleNamespace(uniform=rng.uniform, standard_exponential=ahead.standard_exponential)
     estimates = empirical_cf(sample(params, split, size=min(BLOCK, n - start))
                              for start in range(0, n, BLOCK))

@@ -60,6 +60,12 @@ _FLOOR_RATIO = 10.0 ** (MSE_FLOOR_DB / 10.0)
 _MIN_CHUNK = 16
 _CHUNK_VALUES = 2 ** 18
 
+# read once per process, so chunk_layout depends on its arguments alone and
+# the manifest's processes line names the pool that ran, even if the
+# affinity changes during a run
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
 
 @dataclass
 class SimConfig:
@@ -253,7 +259,7 @@ def chunk_layout(config, workers):
     ``_MIN_CHUNK`` trials, or of as many as fit ``_CHUNK_VALUES`` if that is
     more; only the last may be shorter.  They depend on the config alone.
     ``processes``, the pool's size when ``workers`` > 1, is
-    ``min(workers, CPUs, chunks)``.
+    ``min(workers, _CPUS, chunks)``, with the CPU count read once at import.
     """
     require_integers(workers=workers)
     if workers < 1:
@@ -261,20 +267,17 @@ def chunk_layout(config, workers):
     n = config.n_trials
     size = max(_MIN_CHUNK, _CHUNK_VALUES // _trial_values(config))
     chunks = [(start, min(start + size, n)) for start in range(0, n, size)]
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return chunks, min(workers, cpus, len(chunks))
+    return chunks, min(workers, _CPUS, len(chunks))
 
 
-def run_experiment(config, workers=1, layout=None):
+def run_experiment(config, workers=1):
     """Run all algorithms over all trials and average the learning curves.
 
-    Chunks of trials may run in parallel (``workers`` > 1) as ``layout``
-    says, which is ``chunk_layout(config, workers)`` if not given;
-    aggregation is in fixed trial order, so the result is identical for any
-    worker count and layout.
+    The trials run in the chunks of ``chunk_layout(config, workers)``, in a
+    pool of its ``processes`` when ``workers`` > 1; aggregation is in fixed
+    trial order, so the result is identical for any worker count.
     """
-    chunks, processes = layout or chunk_layout(config, workers)
+    chunks, processes = chunk_layout(config, workers)
     names = [spec.name for spec in config.algorithms]
     # running sums over the completed trials, added in trial order
     sums = np.zeros((len(names), config.n_iterations))
@@ -283,8 +286,8 @@ def run_experiment(config, workers=1, layout=None):
     jobs = [(config, start, stop) for start, stop in chunks]
     with contextlib.ExitStack() as stack:
         if workers > 1:
-            # no more processes than chunks or CPUs: the pool may fork all of
-            # them at once
+            # chunk_layout caps the pool at the chunks and CPUs: it may fork
+            # all of its processes at once
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=processes))
             results = pool.map(_trial_worker, jobs)
         else:

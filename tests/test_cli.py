@@ -262,12 +262,12 @@ class TestCmdRun:
         # 40 trials in chunks of 16 make 3 chunks: --workers 4 on 3 CPUs
         # starts 3 processes, one chunk each
         monkeypatch.setattr(simulation, "_CHUNK_VALUES", 0)
+        monkeypatch.setattr(simulation, "_CPUS", 3)
+        # the affinity drops to one CPU after import, as it may during a
+        # run: the manifest still names what ran
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial, pooled = str(tmp_path / "s.csv"), str(tmp_path / "p.csv")
         for out, workers in ((serial, "1"), (pooled, "4")):
-            # the affinity drops to one CPU after its first reading, as it
-            # may during a run: the manifest still names what ran
-            readings = iter([{0, 1, 2}])
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: next(readings, {0}))
             assert cli.main(["run", "--config", mini_path, "--out", out, "--trials", "40",
                              "--iterations", "20", "--workers", workers]) == 0
         assert recording_pool == [3]

@@ -226,15 +226,15 @@ def every_rule():
     return config, curves
 
 
-@pytest.mark.parametrize("chunks", [[(m, m + 1) for m in range(10)],
-                                    [(0, 3), (3, 6), (6, 8), (8, 10)],
-                                    [(0, 3), (3, 10)],
-                                    [(0, 10)]],
-                         ids=["1-trial", "3-trials", "3-and-7", "one-chunk"])
+# chunks of 10 x 1, 3/3/3/1, 7/3 and one of 10 trials
+@pytest.mark.parametrize("chunk", [1, 3, 7, 10],
+                         ids=["1-trial", "3-trials", "7-and-3", "one-chunk"])
 @pytest.mark.parametrize("workers", [1, 2], ids=["workers1", "workers2"])
-def test_curves_do_not_depend_on_the_chunk_layout(every_rule, workers, chunks):
+def test_curves_do_not_depend_on_the_chunk_layout(every_rule, workers, chunk, monkeypatch):
     config, expected = every_rule
-    curves = run_experiment(config, workers=workers, layout=(chunks, min(workers, len(chunks))))
+    monkeypatch.setattr(simulation, "_MIN_CHUNK", chunk)
+    monkeypatch.setattr(simulation, "_CHUNK_VALUES", 0)
+    curves = run_experiment(config, workers=workers)
     for curve, twin in zip(curves, expected, strict=True):
         assert curve.algorithm == twin.algorithm
         assert curve.trials_diverged == twin.trials_diverged

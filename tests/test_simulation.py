@@ -174,9 +174,11 @@ class TestChunkLayout:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulation, "_MIN_CHUNK", floor)
             mp.setattr(simulation, "_CHUNK_VALUES", budget)
-            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            chunks, processes = simulation.chunk_layout(config, workers)
+            # the CPU count is the one read at import, never the affinity
             mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+            mp.setattr(simulation, "_CPUS", cpus)
+            chunks, processes = simulation.chunk_layout(config, workers)
+            mp.setattr(simulation, "_CPUS", 1)
             serial, _ = simulation.chunk_layout(config, 1)
         trial_values = 4 * (n_algorithms + 1) * (n_iterations + 2 * n_taps)
         per_chunk = max(floor, budget // trial_values)
@@ -220,11 +222,12 @@ class TestRunExperiment:
     def test_pool_no_larger_than_job_list(self, small_config, monkeypatch, recording_pool):
         # (workers, CPUs, trials, pool size) in chunks of 16 trials: bounded
         # in turn by the CPUs, the workers, the chunks (33 trials make 3)
-        # and one CPU; no process starts
+        # and one CPU; no process starts.  The affinity is not consulted.
         monkeypatch.setattr(simulation, "_CHUNK_VALUES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         cases = [(4, 2, 64, 2), (3, 8, 64, 3), (4, 8, 33, 3), (2, 1, 40, 1)]
         for workers, cpus, n_trials, _ in cases:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            monkeypatch.setattr(simulation, "_CPUS", cpus)
             run_experiment(small_config(n_trials=n_trials, n_iterations=20), workers=workers)
         assert recording_pool == [size for *_, size in cases]
 
