@@ -33,7 +33,6 @@ keeping the filters in their stable operating range.
 import contextlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,6 +64,21 @@ _CHUNK_VALUES = 2 ** 18
 # affinity changes during a run
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
+
+
+def __getattr__(name):
+    """Import ``ProcessPoolExecutor`` on first use (PEP 562): its modules
+    cost every serial command memory and start-up time.  It is a module
+    global, not a local import in ``run_experiment``, because
+    benchmarks/layers.py assigns a recording pool to it; once that probe
+    patches ``concurrent.futures`` instead (ROADMAP item 1a), a local
+    import can replace this function."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        # run_experiment calls this too: a class already assigned to the
+        # name, such as a recording pool, is the one it starts
+        return globals().setdefault(name, ProcessPoolExecutor)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -288,7 +302,8 @@ def run_experiment(config, workers=1):
         if workers > 1:
             # chunk_layout caps the pool at the chunks and CPUs: it may fork
             # all of its processes at once
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=processes))
+            pool_class = __getattr__("ProcessPoolExecutor")
+            pool = stack.enter_context(pool_class(max_workers=processes))
             results = pool.map(_trial_worker, jobs)
         else:
             results = map(_trial_worker, jobs)
