@@ -12,8 +12,8 @@ from .channel import SparseChannel, generate_channel, generate_input
 from .errors import ParameterError
 from .filters import (AlgorithmSpec, FilterState, attractor, penalty_value,
                       step)
-from .simulation import (LearningCurve, Realization, SimConfig, apply_snr,
-                         derive_trial_seed, make_realization, run_experiment)
+from .simulation import (LearningCurve, Realization, SimConfig, derive_trial_seed,
+                         make_realization, run_experiment)
 from .stable import AlphaStableParams, characteristic_function, sample
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "Realization",
     "SimConfig",
     "SparseChannel",
-    "apply_snr",
     "attractor",
     "characteristic_function",
     "derive_trial_seed",

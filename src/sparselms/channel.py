@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParameterError, require_integers
+from .errors import ParameterError, require_integers, require_numbers
 
 # the training-input distributions generate_input draws from
 INPUT_KINDS = ("gaussian", "binary")
@@ -57,9 +57,8 @@ def generate_input(length, power, rng, kind="gaussian"):
     ``kind`` is "gaussian" (zero-mean, variance = power) or "binary"
     (equiprobable +/-sqrt(power)).
     """
-    require_integers(length=length)
-    if length < 1:
-        raise ParameterError(f"length must be >= 1, got {length}")
+    require_integers(1, length=length)
+    require_numbers(power=power)
     if not (power > 0):
         raise ParameterError(f"power must be positive, got {power}")
     root = np.sqrt(power)

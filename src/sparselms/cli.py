@@ -30,7 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .errors import ParameterError
+from .errors import ParameterError, require_integers
 from .filters import FAMILIES, PENALTY_PARAMS, AlgorithmSpec
 from .simulation import SimConfig, chunk_layout, run_experiment
 from .stable import (BLOCK, CF_GRID, AlphaStableParams, characteristic_function, empirical_cf,
@@ -235,8 +235,6 @@ def _utc_now():
 
 
 def cmd_run(args):
-    if args.workers < 1:
-        raise ParameterError(f"--workers must be >= 1, got {args.workers}")
     # --seed, --trials and --iterations are named as their [run] keys
     run = {key: getattr(args, key) for key in SECTIONS["run"]
            if getattr(args, key, None) is not None}
@@ -245,13 +243,13 @@ def cmd_run(args):
     outputs = (args.out, args.out + ".manifest")
     if os.path.realpath(args.config) in map(os.path.realpath, outputs):
         raise ParameterError(f"--out {args.out} would overwrite the config file {args.config}")
+    # chunk_layout depends on the config and --workers alone: these are the
+    # manifest's chunks and pool, and a bad --workers fails before any file opens
+    chunks, processes = chunk_layout(config, args.workers)
     # create both output files first, so an unwritable --out fails before the run
     for path in outputs:
         open(path, "w").close()
 
-    # for the manifest: chunk_layout depends on the config and --workers
-    # alone, so these are the chunks and pool that run_experiment runs
-    chunks, processes = chunk_layout(config, args.workers)
     started = _utc_now()
     try:
         curves = run_experiment(config, workers=args.workers)
@@ -276,12 +274,10 @@ def cmd_run(args):
 def cmd_validate_noise(args):
     params = AlphaStableParams(alpha=args.alpha, beta=args.beta,
                                gamma=args.gamma, delta=args.delta)
-    if args.samples < 1:
-        raise ParameterError(f"samples must be >= 1, got {args.samples}")
+    require_integers(1, samples=args.samples)
     if args.samples > MAX_SAMPLES:
         raise ParameterError(f"samples must be <= {MAX_SAMPLES}, got {args.samples}")
-    if args.seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {args.seed}")
+    require_integers(0, seed=args.seed)
 
     # the draws of sample(params, rng, size=n), streamed BLOCK at a time:
     # sample draws all of its uniforms before any exponential, and PCG64,

@@ -1,4 +1,4 @@
-"""The exception type shared across the package, and its integer check."""
+"""The exception type shared across the package, and its input checks."""
 
 import numbers
 
@@ -8,10 +8,20 @@ class ParameterError(ValueError):
     cannot be read or parsed: bad input of any kind."""
 
 
-def require_integers(**counts):
+def require_integers(floor=None, /, **counts):
     """Raise :class:`ParameterError` naming the first of ``counts`` that is
-    not a Python or numpy integer; a float count would fail late or
-    truncate."""
+    not a Python or numpy integer (a float count would fail late or
+    truncate), or that lies below ``floor`` if one is given."""
     for name, value in counts.items():
         if not isinstance(value, numbers.Integral):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
+        if floor is not None and value < floor:
+            raise ParameterError(f"{name} must be >= {floor}, got {value}")
+
+
+def require_numbers(**values):
+    """Raise :class:`ParameterError` naming the first of ``values`` that is
+    not a real number, which a range check would meet with a TypeError."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Real):
+            raise ParameterError(f"{name} must be a number, got {value!r}")

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_numbers
 
 # family -> its prefix on the wire
 _FAMILY_NAMES = {"gradient": "lms", "sign": "slms"}
@@ -93,6 +93,7 @@ class AlgorithmSpec:
             elif attr not in defaults:
                 raise ParameterError(
                     f"{attr} is not a parameter of the {self.penalty!r} penalty")
+        require_numbers(**{attr: getattr(self, attr) for attr in ("mu", *defaults)})
         for attr in ("mu", "eps", "delta"):
             value = getattr(self, attr)
             if value is not None and not (math.isfinite(value) and value > 0):

@@ -39,7 +39,7 @@ import numpy as np
 
 from .channel import (INPUT_KINDS, SparseChannel, delay_lines,
                       generate_channel, generate_input)
-from .errors import ParameterError, require_integers
+from .errors import ParameterError, require_integers, require_numbers
 # step is not called here; it stays importable from this module because
 # benchmarks/layers.py patches simulation.step by name
 from .filters import AlgorithmSpec, Rules, step  # noqa: F401
@@ -101,22 +101,16 @@ class SimConfig:
     input_kind: str = "gaussian"
 
     def __post_init__(self):
-        require_integers(n_taps=self.n_taps, sparsity=self.sparsity,
-                         n_iterations=self.n_iterations, n_trials=self.n_trials,
-                         master_seed=self.master_seed)
-        if self.n_trials < 1:
-            raise ParameterError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.n_iterations < 1:
-            raise ParameterError(f"n_iterations must be >= 1, got {self.n_iterations}")
-        if self.n_taps < 1:
-            raise ParameterError(f"n_taps must be >= 1, got {self.n_taps}")
+        require_integers(1, n_trials=self.n_trials, n_iterations=self.n_iterations,
+                         n_taps=self.n_taps)
+        require_integers(sparsity=self.sparsity)
         if not (1 <= self.sparsity <= self.n_taps):
             raise ParameterError(
                 f"sparsity must be in [1, {self.n_taps}], got {self.sparsity}")
+        require_numbers(snr_db=self.snr_db)
         if not math.isfinite(self.snr_db):
             raise ParameterError(f"snr_db must be finite, got {self.snr_db}")
-        if self.master_seed < 0:
-            raise ParameterError(f"master_seed must be >= 0, got {self.master_seed}")
+        require_integers(0, master_seed=self.master_seed)
         if self.input_kind not in INPUT_KINDS:
             raise ParameterError(f"input_kind must be {' or '.join(map(repr, INPUT_KINDS))}, "
                                  f"got {self.input_kind!r}")
@@ -275,9 +269,7 @@ def chunk_layout(config, workers):
     ``processes``, the pool's size when ``workers`` > 1, is
     ``min(workers, _CPUS, chunks)``, with the CPU count read once at import.
     """
-    require_integers(workers=workers)
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+    require_integers(1, workers=workers)
     n = config.n_trials
     size = max(_MIN_CHUNK, _CHUNK_VALUES // _trial_values(config))
     chunks = [(start, min(start + size, n)) for start in range(0, n, size)]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_numbers
 
 # below this magnitude |t| is clamped in the alpha = 1 skew branch to keep
 # log|t| finite
@@ -65,6 +65,7 @@ class AlphaStableParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        require_numbers(alpha=self.alpha, beta=self.beta, gamma=self.gamma, delta=self.delta)
         if not (0.1 <= self.alpha <= 2.0):
             raise ParameterError(f"alpha must be in [0.1, 2], got {self.alpha}")
         if not (-1.0 <= self.beta <= 1.0):

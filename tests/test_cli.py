@@ -124,8 +124,9 @@ class TestParseConfig:
         (MINI_CONFIG, ["--iterations", "0"], "bad value for 'iterations' in [run]"),
         (MINI_CONFIG, ["--seed", "-2"], "bad value for 'seed' in [run]"),
         (MINI_CONFIG, ["--trials", "abc"], "bad value for 'trials' in [run]: 'abc'"),
-        (MINI_CONFIG, ["--workers", "0"], "--workers must be >= 1, got 0"),
-        (MINI_CONFIG, ["--workers", "-3"], "--workers must be >= 1, got -3"),
+        # checked by chunk_layout, with run_experiment's message
+        (MINI_CONFIG, ["--workers", "0"], "workers must be >= 1, got 0"),
+        (MINI_CONFIG, ["--workers", "-3"], "workers must be >= 1, got -3"),
         # snr_db scales gamma to 0, inf or a sample scale gamma**(1/alpha)
         # that underflows
         *((f"[noise]\n{noise}\n\n[run]\niterations = 20\ntrials = 1\nsnr_db = {snr_db}\n\n"
@@ -508,26 +509,27 @@ class TestValidateNoise:
                          "--samples", "20", "--seed", "0"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
-    # bad arguments, by the field that begins the message; at alpha = 0.1
-    # the sample scale gamma**(1/alpha) overflows, or underflows to 0, which
-    # would sample all-zero draws.  A sample above cli.MAX_SAMPLES would run
-    # for days, so it exits before anything is drawn.
-    @pytest.mark.parametrize("argv,field", [
-        (["--alpha", "0"], "alpha"), (["--alpha", "0.02"], "alpha"),
-        (["--alpha", "1.5", "--gamma", "-1"], "gamma"),
-        (["--alpha", "1.5", "--samples", "0"], "samples"),
-        (["--alpha", "1.5", "--seed", "-1"], "seed"),
-        (["--alpha", "0.1", "--gamma", "1e300"], "gamma"),
-        (["--alpha", "0.1", "--gamma", "1e-40"], "gamma"),
-        (["--alpha", "1.2", "--samples", str(cli.MAX_SAMPLES + 1)], "samples"),
-        *((["--alpha", "1.2", "--samples", str(samples)], "samples")
-          for samples in (10_000_000_000_000, 2**60, 2**63)),
+    # bad arguments, by the start of the message, which names the field, or
+    # the whole message line for the counts; at alpha = 0.1 the sample scale
+    # gamma**(1/alpha) overflows, or underflows to 0, which would sample
+    # all-zero draws.  A sample above cli.MAX_SAMPLES would run for days, so
+    # it exits before anything is drawn.
+    @pytest.mark.parametrize("argv,message", [
+        (["--alpha", "0"], "alpha "), (["--alpha", "0.02"], "alpha "),
+        (["--alpha", "1.5", "--gamma", "-1"], "gamma "),
+        (["--alpha", "1.5", "--samples", "0"], "samples must be >= 1, got 0\n"),
+        (["--alpha", "1.5", "--seed", "-1"], "seed must be >= 0, got -1\n"),
+        (["--alpha", "0.1", "--gamma", "1e300"], "gamma "),
+        (["--alpha", "0.1", "--gamma", "1e-40"], "gamma "),
+        *((["--alpha", "1.2", "--samples", str(samples)],
+           f"samples must be <= {cli.MAX_SAMPLES}, got {samples}\n")
+          for samples in (cli.MAX_SAMPLES + 1, 10_000_000_000_000, 2**60, 2**63)),
     ], ids=["alpha0", "alpha0.02", "gamma-1", "samples0", "seed-1", "scale-inf", "scale-0",
             "samples-over-max", "samples1e13", "samples2pow60", "samples2pow63"])
-    def test_bad_argument_exits_2_naming_it(self, capsys, argv, field):
+    def test_bad_argument_exits_2_naming_it(self, capsys, argv, message):
         assert cli.main(["validate-noise", *argv]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {field} ")
+        assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
 
     # stdout of the check as it printed before the CF was summed over blocks

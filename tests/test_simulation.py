@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -12,9 +13,9 @@ from scipy.optimize import brentq
 
 from conftest import ALL_NAMES
 from sparselms import (AlgorithmSpec, AlphaStableParams, ParameterError,
-                       SimConfig, apply_snr, derive_trial_seed,
+                       SimConfig, derive_trial_seed, generate_input,
                        make_realization, run_experiment, simulation)
-from sparselms.simulation import run_trial
+from sparselms.simulation import apply_snr, run_trial
 
 
 def _specs(*names):
@@ -122,20 +123,35 @@ class TestRunTrial:
         assert np.isfinite(nmse[0])
 
 
+# overrides of small_config, and the whole message of each count row
+_INVALID_CONFIGS = [
+    (dict(n_trials=0), "n_trials must be >= 1, got 0"),
+    (dict(n_iterations=0), "n_iterations must be >= 1, got 0"),
+    (dict(sparsity=0), "sparsity must be in [1, 16], got 0"),
+    (dict(sparsity=17), "sparsity must be in [1, 16], got 17"),
+    (dict(master_seed=-1), "master_seed must be >= 0, got -1"),
+    (dict(input_kind="morse"), None),
+    (dict(snr_db=float("nan")), None), (dict(algorithms=()), None),
+    (dict(snr_db=4000.0), None), (dict(snr_db=-4000.0), None),
+    (dict(noise=AlphaStableParams(1.2, gamma=1e300), snr_db=-100.0), None),
+    # the sampler's scale gamma**(1/alpha) underflows
+    (dict(noise=AlphaStableParams(0.1), snr_db=400.0), None),
+    (dict(n_trials=2.5), "n_trials must be an integer, got 2.5"),
+    (dict(n_iterations=30.0), "n_iterations must be an integer, got 30.0"),
+    (dict(master_seed=1.5), "master_seed must be an integer, got 1.5"),
+    (dict(n_taps=16.0), "n_taps must be an integer, got 16.0"),
+    (dict(sparsity=2.0), "sparsity must be an integer, got 2.0"),
+    (dict(n_taps=0), "n_taps must be >= 1, got 0"),
+]
+
+
 class TestSimConfigValidation:
-    @pytest.mark.parametrize("overrides", [
-        dict(n_trials=0), dict(n_iterations=0), dict(sparsity=0),
-        dict(sparsity=17), dict(master_seed=-1), dict(input_kind="morse"),
-        dict(snr_db=float("nan")), dict(algorithms=()),
-        dict(snr_db=4000.0), dict(snr_db=-4000.0),
-        dict(noise=AlphaStableParams(1.2, gamma=1e300), snr_db=-100.0),
-        # the sampler's scale gamma**(1/alpha) underflows
-        dict(noise=AlphaStableParams(0.1), snr_db=400.0),
-        dict(n_trials=2.5), dict(n_iterations=30.0), dict(master_seed=1.5),
-        dict(n_taps=16.0), dict(sparsity=2.0),
-    ])
-    def test_invalid(self, small_config, overrides):
-        with pytest.raises(ParameterError):
+    # ids by position, so a row keeps its name when a column is added
+    @pytest.mark.parametrize("overrides,message", _INVALID_CONFIGS,
+                             ids=[f"overrides{i}" for i in range(len(_INVALID_CONFIGS))])
+    def test_invalid(self, small_config, overrides, message):
+        with pytest.raises(ParameterError,
+                           match=None if message is None else f"^{re.escape(message)}$"):
             small_config(**overrides)
 
     def test_numpy_integer_counts_accepted(self, small_config):
@@ -156,6 +172,21 @@ class TestSimConfigValidation:
     def test_noise_that_is_not_stable_params_rejected(self, small_config):
         with pytest.raises(ParameterError, match="^noise must be AlphaStableParams or None$"):
             small_config(noise=1.2)
+
+
+# a number of the wrong type, wherever one enters; the message begins with
+# the field's name, which cli names the config key by
+@pytest.mark.parametrize("build,field", [
+    (lambda config: AlgorithmSpec(mu="0.1"), "mu"),
+    (lambda config: AlgorithmSpec(penalty="lp", p="0.5"), "p"),
+    (lambda config: AlphaStableParams("1.2"), "alpha"),
+    (lambda config: AlphaStableParams(1.2, gamma="1"), "gamma"),
+    (lambda config: config(snr_db=None), "snr_db"),
+    (lambda config: generate_input(10, "1", np.random.default_rng(0)), "power"),
+], ids=["mu", "p", "alpha", "gamma", "snr_db", "power"])
+def test_wrong_typed_number_rejected_naming_it(small_config, build, field):
+    with pytest.raises(ParameterError, match=f"^{field} must be a number, got "):
+        build(small_config)
 
 
 class TestChunkLayout:
@@ -233,7 +264,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers", [0, -3, 1.5, None])
     def test_workers_not_a_positive_integer_rejected(self, small_config, workers):
-        with pytest.raises(ParameterError, match="workers"):
+        rule = ">= 1" if isinstance(workers, int) else "an integer"
+        with pytest.raises(ParameterError,
+                           match=f"^workers must be {rule}, got {re.escape(repr(workers))}$"):
             run_experiment(small_config(), workers=workers)
 
     def test_exact_estimate_hits_the_floor(self, small_config):
