@@ -41,7 +41,8 @@ def generate_channel(n_taps, sparsity, rng):
     Positions uniform without replacement, values i.i.d. standard Gaussian,
     then normalized to unit l2 norm.
     """
-    require_integers(n_taps=n_taps, sparsity=sparsity)
+    require_integers(1, n_taps=n_taps)
+    require_integers(sparsity=sparsity)
     if not (1 <= sparsity <= n_taps):
         raise ParameterError(f"sparsity must be in [1, {n_taps}], got {sparsity}")
     taps = np.zeros(n_taps)

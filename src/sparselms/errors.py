@@ -11,9 +11,10 @@ class ParameterError(ValueError):
 def require_integers(floor=None, /, **counts):
     """Raise :class:`ParameterError` naming the first of ``counts`` that is
     not a Python or numpy integer (a float count would fail late or
-    truncate), or that lies below ``floor`` if one is given."""
+    truncate), or that lies below ``floor`` if one is given.  A ``bool`` is
+    not a count, though Python makes it an integer."""
     for name, value in counts.items():
-        if not isinstance(value, numbers.Integral):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
         if floor is not None and value < floor:
             raise ParameterError(f"{name} must be >= {floor}, got {value}")
@@ -21,7 +22,8 @@ def require_integers(floor=None, /, **counts):
 
 def require_numbers(**values):
     """Raise :class:`ParameterError` naming the first of ``values`` that is
-    not a real number, which a range check would meet with a TypeError."""
+    not a real number, which a range check would meet with a TypeError, or
+    that is a ``bool``, which a range check would read as 0 or 1."""
     for name, value in values.items():
-        if not isinstance(value, numbers.Real):
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise ParameterError(f"{name} must be a number, got {value!r}")

@@ -29,9 +29,18 @@ from .errors import ParameterError, require_numbers
 _LOG_CLAMP = 1e-300
 
 # draws per block of an elementwise pass over a sample (the CMS transform
-# and the empirical CF): 2**16 float64 values are 512 KiB, so a block and
-# its scratch stay in cache
-BLOCK = 1 << 16
+# and the empirical CF).  Sizing rule: validate-noise keeps about 8 float64
+# blocks live (the sample block, the next block's uniforms, sample's w and
+# tmp, and empirical_cf's two complex blocks), 8 * 8 * BLOCK bytes, which
+# must fit one core's L2 (2 MiB on a 2-vCPU VM): 1 MiB at 2**14.
+# Sweep of validate-noise at 4e6 skewed draws on that VM (python 3.11,
+# numpy 2.4), 2**12 to 2**16: peak RSS 35.21, 35.37, 35.87, 36.88 and
+# 38.90 MB (medians of 10 interleaved runs; wall time flat at 0.42-0.45 s).
+# In-process, medians of 9 interleaved runs, its sample calls took 273 ms
+# at 2**14 against 302 ms at 2**16 and 320 ms at 2**13, and empirical_cf
+# 57 against 84 ms at 2**16.  The draws, the generator's final state and
+# the printed output do not depend on this value.
+BLOCK = 1 << 14
 
 # points at which validate-noise compares the empirical CF with the model.
 # The grid is 0.1*k for k = 1, 5, 10, 20, so every exp(j*t*x) is a power of
@@ -164,11 +173,12 @@ def sample(params, rng, size=None):
 
 # _cms is in-place ufunc calls on reused buffers.  Its branch formulas as
 # plain per-block expressions are shorter and bit-identical, but slower:
-# each operation allocates a block-sized temporary, which at BLOCK = 2**16
+# each operation allocates a block-sized temporary, which at 2**16 draws
 # (512 KiB) numpy maps afresh every time.  Measured on a 2-vCPU VM with
 # numpy 2.4, 4e6 skewed draws took 0.462 s against 0.353 s, with 49.8k
-# minor page faults against 0.7k; with BLOCK = 2**13 the benchmark's
-# noise_validate workload was slower in 6 of 6 interleaved pairs (wall_s
+# minor page faults against 0.7k.  Shrinking the blocks to 2**13 did not
+# rescue the expression form: the benchmark's noise_validate workload was
+# still slower than the in-place form in 6 of 6 interleaved pairs (wall_s
 # 0.670 against 0.629 s).
 def _cms(params, v, w, tmp):
     """Overwrite uniform ``v`` with its CMS transform, using exponential ``w``.

@@ -7,6 +7,12 @@ from sparselms import AlgorithmSpec, AlphaStableParams, SimConfig
 ALL_NAMES = ("lms", "slms", "lms-za", "slms-za", "lms-rza", "slms-rza",
              "lms-rl1", "slms-rl1", "lms-lp", "slms-lp")
 
+# the noise block sizes the tests run at, stable.BLOCK among them, and a
+# sample size that is a whole number of blocks at each: the sizes around
+# SPAN sit on block boundaries whichever size is tuned in
+BLOCK_SIZES = (1 << 12, 1 << 14, 1 << 16)
+SPAN = 1 << 16
+
 settings.register_profile(
     "ci", deadline=None, derandomize=True, max_examples=50,
     suppress_health_check=[HealthCheck.too_slow])

@@ -21,13 +21,18 @@ class TestGenerateChannel:
         chan = generate_channel(1, 1, np.random.default_rng(seed))
         assert abs(abs(chan.taps[0]) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("sparsity", [0, -1, 129])
-    def test_sparsity_out_of_range(self, sparsity):
-        with pytest.raises(ParameterError):
-            generate_channel(128, sparsity, np.random.default_rng(0))
+    # the message names the fault: with no taps, no sparsity is in range,
+    # and the fault is n_taps
+    @pytest.mark.parametrize("n_taps,sparsity,name", [
+        (128, 0, "sparsity"), (128, -1, "sparsity"), (128, 129, "sparsity"), (0, 1, "n_taps")],
+        ids=["0", "-1", "129", "n_taps0"])
+    def test_sparsity_out_of_range(self, n_taps, sparsity, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be "):
+            generate_channel(n_taps, sparsity, np.random.default_rng(0))
 
     @pytest.mark.parametrize("n_taps,sparsity,name", [
-        (16.7, 4.9, "n_taps"), (16.0, 4, "n_taps"), (16, 4.0, "sparsity")])
+        (16.7, 4.9, "n_taps"), (16.0, 4, "n_taps"), (16, 4.0, "sparsity"),
+        (True, 4, "n_taps"), (16, False, "sparsity")])
     def test_non_integer_count_rejected(self, n_taps, sparsity, name):
         with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
             generate_channel(n_taps, sparsity, np.random.default_rng(0))

@@ -142,6 +142,8 @@ _INVALID_CONFIGS = [
     (dict(n_taps=16.0), "n_taps must be an integer, got 16.0"),
     (dict(sparsity=2.0), "sparsity must be an integer, got 2.0"),
     (dict(n_taps=0), "n_taps must be >= 1, got 0"),
+    (dict(n_trials=True), "n_trials must be an integer, got True"),
+    (dict(master_seed=False), "master_seed must be an integer, got False"),
 ]
 
 
@@ -183,7 +185,10 @@ class TestSimConfigValidation:
     (lambda config: AlphaStableParams(1.2, gamma="1"), "gamma"),
     (lambda config: config(snr_db=None), "snr_db"),
     (lambda config: generate_input(10, "1", np.random.default_rng(0)), "power"),
-], ids=["mu", "p", "alpha", "gamma", "snr_db", "power"])
+    (lambda config: AlgorithmSpec(mu=True), "mu"),
+    (lambda config: AlphaStableParams(True), "alpha"),
+    (lambda config: config(snr_db=False), "snr_db"),
+], ids=["mu", "p", "alpha", "gamma", "snr_db", "power", "mu-bool", "alpha-bool", "snr_db-bool"])
 def test_wrong_typed_number_rejected_naming_it(small_config, build, field):
     with pytest.raises(ParameterError, match=f"^{field} must be a number, got "):
         build(small_config)

@@ -7,8 +7,9 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import SPAN
 from sparselms import AlphaStableParams, ParameterError, characteristic_function, sample
-from sparselms.stable import BLOCK, CF_GRID, empirical_cf
+from sparselms.stable import CF_GRID, empirical_cf
 
 # (alpha, beta, gamma, delta) of the sampler's CDF check against scipy
 CDF_CASES = [(1.5, 0.5, 1.0, 0.0), (1.0, 0.5, 1.0, 0.0), (1.0, 0.5, 2.0, 0.0),
@@ -139,8 +140,8 @@ BRANCHES = [AlphaStableParams(*p) for p in [
 
 
 @pytest.mark.parametrize("params", BRANCHES, ids=lambda p: f"{p.alpha}-{p.beta}-{p.gamma}-{p.delta}")
-@pytest.mark.parametrize("size", [None, 0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7,
-                                  (3, BLOCK // 2 + 5)])
+@pytest.mark.parametrize("size", [None, 0, 1, SPAN - 1, SPAN, SPAN + 1, 3 * SPAN + 7,
+                                  (3, SPAN // 2 + 5)])
 def test_blocked_sampler_is_bit_identical_to_whole_array(params, size):
     rng_blocked, rng_whole = np.random.default_rng(8), np.random.default_rng(8)
     blocked = sample(params, rng_blocked, size=size)
@@ -168,7 +169,7 @@ def test_sample_peak_memory_below_one_and_a_half_draw_arrays(params):
 
 @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.2, 2.0])
 @pytest.mark.parametrize("beta", [0.0, 0.5, -1.0])
-@pytest.mark.parametrize("n", [BLOCK - 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("n", [SPAN - 1, 2 * SPAN + 3])
 def test_empirical_cf_matches_direct_mean(alpha, beta, n):
     draws = sample(AlphaStableParams(alpha, beta), np.random.default_rng(6), size=n)
     blocked = empirical_cf(draws)
