@@ -347,6 +347,17 @@ def build_parser():
 
 
 def main(argv=None):
+    # `numpy.random` imports `secrets`, which pulls in `_hashlib` and with it
+    # OpenSSL's libcrypto (about 3.4 MB resident) that no command uses: every
+    # generator is seeded explicitly.  Blocking the module is safe: `hashlib`
+    # and `hmac` fall back to CPython's builtin digests and to
+    # `_operator._compare_digest`, and `secrets` still draws from `os.urandom`.
+    # `setdefault` keeps a `_hashlib` already loaded (pytest, a host program);
+    # a host that first imports `hashlib` after `main` gets only the builtin
+    # algorithms (no `scrypt`, no `ripemd160`).  Forked pool workers inherit
+    # the block; `forkserver` or `spawn` workers do not, and load libcrypto as
+    # they would without it.
+    sys.modules.setdefault("_hashlib", None)
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)

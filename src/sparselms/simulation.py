@@ -18,8 +18,12 @@ decibels,
 
 floored at -100 dB.  A trial diverges at the first non-finite value of its
 normalized squared error; trials that diverge are excluded from the average
-and counted in ``trials_diverged``.  The plain gradient LMS is expected to do
-exactly that under heavy-tailed noise.
+and counted in ``trials_diverged``.  Under heavy-tailed noise the plain
+gradient LMS need not diverge; it settles far above the sign family
+instead.  At alpha = 1.2, 10 dB SNR, 128 taps of which 8 are nonzero, 3000
+iterations, 100 trials and master seed 2026 (acceptance criterion 3),
+``lms`` diverged in 0 of 100 trials and averaged 24.4 dB over the last 300
+iterations, against -6.3 dB for ``slms``.
 
 SNR convention: the nominal noise parameters keep their configured
 dispersion while the training-signal power is matched to it (power = 2*gamma
@@ -52,10 +56,11 @@ _FLOOR_RATIO = 10.0 ** (MSE_FLOOR_DB / 10.0)
 # float64 values (2 MiB) as _trial_values counts them.  Short trials then
 # share a chunk, so each of its Python time steps is paid once for many
 # trials; long or wide trials still get 16 a chunk, so they share each
-# step's cost too.  Twice this budget puts all 150 trials of a short
-# two-algorithm run (16 taps, 250 iterations) in one chunk, which raises
-# the command's peak RSS by 3 MB (10%); this one splits them 77/73 at
-# +1.1 MB.
+# step's cost too.  Against fixed 16-trial chunks (30.96 MB), twice this
+# budget puts all 150 trials of a short two-algorithm run (16 taps, 250
+# iterations, --workers 2) in one chunk, which raises the command's peak
+# RSS by 1.85 MB (6%); this one splits them 77/73 at +0.57 MB (medians of
+# 10 interleaved runs, wait4 rusage, 2-vCPU VM, python 3.11, numpy 2.4).
 _MIN_CHUNK = 16
 _CHUNK_VALUES = 2 ** 18
 

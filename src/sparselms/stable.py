@@ -34,8 +34,8 @@ _LOG_CLAMP = 1e-300
 # tmp, and empirical_cf's two complex blocks), 8 * 8 * BLOCK bytes, which
 # must fit one core's L2 (2 MiB on a 2-vCPU VM): 1 MiB at 2**14.
 # Sweep of validate-noise at 4e6 skewed draws on that VM (python 3.11,
-# numpy 2.4), 2**12 to 2**16: peak RSS 35.21, 35.37, 35.87, 36.88 and
-# 38.90 MB (medians of 10 interleaved runs; wall time flat at 0.42-0.45 s).
+# numpy 2.4), 2**12 to 2**16: peak RSS 31.89, 32.05, 32.52, 33.52 and
+# 35.55 MB (medians of 10 interleaved runs; wall time flat at 0.45-0.48 s).
 # In-process, medians of 9 interleaved runs, its sample calls took 273 ms
 # at 2**14 against 302 ms at 2**16 and 320 ms at 2**13, and empirical_cf
 # 57 against 84 ms at 2**16.  The draws, the generator's final state and

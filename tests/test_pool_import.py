@@ -1,9 +1,10 @@
-"""The process pool's modules load only when a pool starts.
+"""The process pool's modules load only when a pool starts, and OpenSSL never.
 
 ``concurrent.futures.process`` pulls in ``multiprocessing``, ``socket``,
 ``subprocess`` and more; a serial command never starts a pool, so it must
-not pay for them.  Each check runs in a fresh interpreter, where nothing
-else has imported them yet.
+not pay for them.  ``numpy.random`` pulls in ``_hashlib`` and libcrypto,
+which ``cli.main`` blocks.  Each check but the last runs in a fresh
+interpreter, where nothing else has imported them yet.
 """
 
 import json
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from sparselms import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -112,3 +115,39 @@ print("ok")
 
 def test_pool_name_resolves_to_the_standard_pool_before_first_use(tmp_path):
     assert _fresh_python(NAME_CONTRACT, cwd=tmp_path) == "ok\n"
+
+
+NO_OPENSSL_AFTER = """\
+import json, os, pathlib, sys
+from sparselms import cli
+codes = [cli.main(["validate-noise", "--samples", "1000"]),
+         cli.main(["run", "--config", "tiny.ini", "--out", "tiny.csv", "--workers", "1"])]
+maps = "/proc/self/maps"
+libcrypto = "libcrypto" in pathlib.Path(maps).read_text() if os.path.exists(maps) else None
+import hashlib
+print(json.dumps([codes, sys.modules["_hashlib"] is None, libcrypto,
+                  hashlib.sha256(b"sparselms").hexdigest()]))
+"""
+
+SHA256_SPARSELMS = "237078112499c7efdd5a675883664f1a357071ba831ad8759cf448b779b359cc"
+
+
+def test_drawing_commands_never_load_openssl(tmp_path):
+    (tmp_path / "tiny.ini").write_text(TINY_CONFIG)
+    last_line = _fresh_python(NO_OPENSSL_AFTER, cwd=tmp_path).splitlines()[-1]
+    codes, blocked, libcrypto, digest = json.loads(last_line)
+    # 1000 draws fail the CF check, which exits 3
+    assert codes == [3, 0]
+    assert blocked
+    assert digest == SHA256_SPARSELMS  # CPython's builtin sha256
+    if libcrypto is None:
+        pytest.skip("no /proc/self/maps on this platform")
+    assert not libcrypto
+
+
+def test_main_keeps_a_hashlib_already_loaded(tmp_path, monkeypatch):
+    # an earlier in-process `main` may have blocked the module; load it afresh
+    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+    loaded = pytest.importorskip("_hashlib")
+    assert cli.main(["template", "--out", str(tmp_path / "template.ini")]) == 0
+    assert sys.modules["_hashlib"] is loaded
