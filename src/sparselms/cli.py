@@ -3,8 +3,8 @@
 Subcommands
 -----------
 run
-    Execute the Monte-Carlo experiment described by a config file and write
-    a CSV of learning curves plus a manifest of the resolved settings.
+    Execute the Monte-Carlo experiment described by a config file; write a
+    CSV of learning curves and a manifest, a config file that reruns it.
 validate-noise
     Compare the empirical characteristic function of the noise sampler
     against the analytic one on a small grid and print a verdict.
@@ -96,10 +96,14 @@ def _sections(config):
             for name, keys, source in sections]
 
 
-TEMPLATE = "\n".join(
-    ["# sparselms experiment configuration (reference parameterization)\n"]
-    + [f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in items)
-       for name, items in _sections(_REFERENCE)])
+def _ini(sections):
+    """Config file text: ``[name]`` and ``key = value`` lines per ``(name, items)``."""
+    return "\n".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in items)
+                     for name, items in sections)
+
+
+TEMPLATE = ("# sparselms experiment configuration (reference parameterization)\n\n"
+            + _ini(_sections(_REFERENCE)))
 
 
 def _read(parser, section, keys, reference):
@@ -155,7 +159,8 @@ def parse_config(path, run=None, algorithms=None):
     ``run`` maps ``[run]`` keys to values that replace the file's, read as if
     the file held them.  ``algorithms`` names the algorithms to run, in
     order, in place of the file's ``[algorithm.*]`` sections; a name without
-    a section runs at its defaults.  Every section is validated either way.
+    a section runs at its defaults.  Every section but a manifest's own
+    ``[manifest]`` is validated either way.
 
     Raises :class:`ParameterError` for every bad input: a file that cannot
     be read or parsed, an unknown section or key, or a bad value, named by
@@ -177,7 +182,7 @@ def parse_config(path, run=None, algorithms=None):
               for name, keys in SECTIONS.items()}
     names = []
     for section in parser.sections():
-        if section in SECTIONS:
+        if section in SECTIONS or section == "manifest":
             continue
         prefix, _, name = section.partition(".")
         if prefix != "algorithm" or not name:
@@ -196,15 +201,10 @@ def parse_config(path, run=None, algorithms=None):
 
 
 def _write_manifest(path, config, **facts):
-    """What was run: one ``key = value`` line per fact, then every setting of
-    ``config`` as ``<section>.<key> = value``."""
-    lines = [f"{key} = {value}" for key, value in facts.items()]
-    if config.noise is None:
-        lines.append("noise = none")
-    lines.extend(f"{name}.{key} = {value}"
-                 for name, items in _sections(config) for key, value in items)
+    """What was run: a ``[manifest]`` section of ``facts``, then ``config``
+    laid out as the template is, so that ``parse_config`` reads it back."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_ini([("manifest", facts.items()), *_sections(config)]))
 
 
 def _write_curves_csv(path, curves):
@@ -352,12 +352,13 @@ def main(argv=None):
     # generator is seeded explicitly.  Blocking the module is safe: `hashlib`
     # and `hmac` fall back to CPython's builtin digests and to
     # `_operator._compare_digest`, and `secrets` still draws from `os.urandom`.
-    # `setdefault` keeps a `_hashlib` already loaded (pytest, a host program);
-    # a host that first imports `hashlib` after `main` gets only the builtin
-    # algorithms (no `scrypt`, no `ripemd160`).  Forked pool workers inherit
-    # the block; `forkserver` or `spawn` workers do not, and load libcrypto as
-    # they would without it.
-    sys.modules.setdefault("_hashlib", None)
+    # Only a `main` that reads `sys.argv`, as the `sparselms` script and
+    # `python -m sparselms.cli` call it, sets the block: a host that passes
+    # `argv` keeps its full `hashlib` (`scrypt`, `ripemd160`), and `setdefault`
+    # keeps a `_hashlib` already loaded.  Forked pool workers inherit the
+    # block; `forkserver` or `spawn` workers load libcrypto as without it.
+    if argv is None:
+        sys.modules.setdefault("_hashlib", None)
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)

@@ -178,8 +178,12 @@ def apply_snr(config):
     noise = config.noise
     power = 2.0 * noise.gamma if noise.alpha == 2.0 else noise.gamma
     try:
-        return power, replace(noise, gamma=noise.gamma * 10.0 ** (-config.snr_db / 10.0))
-    except (OverflowError, ParameterError) as exc:
+        gamma = noise.gamma * 10.0 ** (-config.snr_db / 10.0)
+    except OverflowError:
+        gamma = math.inf  # rejected below as "... got inf", not as an errno
+    try:
+        return power, replace(noise, gamma=gamma)
+    except ParameterError as exc:
         raise ParameterError(
             f"snr_db = {config.snr_db} scales the noise dispersion gamma = {noise.gamma} "
             f"out of range: {exc}") from exc

@@ -6,15 +6,19 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sparselms
-from conftest import BLOCK_SIZES, SPAN
+from conftest import ALL_NAMES, BLOCK_SIZES, SPAN
 from sparselms import (AlgorithmSpec, AlphaStableParams, LearningCurve, ParameterError,
                        SimConfig, cli, simulation, stable)
+from sparselms.channel import INPUT_KINDS
 from sparselms.cli import parse_config
 from sparselms.filters import PENALTY_PARAMS
 from sparselms.stable import BLOCK, empirical_cf, sample
@@ -56,6 +60,44 @@ def mini_path(tmp_path):
     path = tmp_path / "mini.ini"
     path.write_text(MINI_CONFIG)
     return str(path)
+
+
+def read_manifest(out):
+    """The manifest of the run that wrote ``out``, read as a config file."""
+    manifest = configparser.ConfigParser(interpolation=None)
+    with open(f"{out}.manifest", encoding="utf-8") as fh:
+        manifest.read_file(fh)
+    return manifest
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# AlgorithmSpec field -> its valid values
+_HYPERPARAMETERS = {"mu": _POSITIVE, "eps": _POSITIVE, "delta": _POSITIVE,
+                    "rho": st.floats(min_value=0.0, allow_infinity=False),
+                    "p": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)}
+
+
+@st.composite
+def sim_configs(draw):
+    """Valid SimConfigs: with or without noise, any non-empty ordered subset
+    of the algorithms, any hyperparameters and either input kind."""
+    specs = []
+    for name in draw(st.lists(st.sampled_from(ALL_NAMES), min_size=1, unique=True)):
+        params = ("mu", *PENALTY_PARAMS[AlgorithmSpec.from_name(name).penalty])
+        specs.append(AlgorithmSpec.from_name(
+            name, **{field: draw(_HYPERPARAMETERS[field]) for field in params}))
+    # gamma within 1e10 of 1 and snr_db within 50 dB keep the sample scale
+    # finite and positive down to alpha = 0.1
+    noise = draw(st.none() | st.builds(
+        AlphaStableParams, alpha=st.floats(0.1, 2.0), beta=st.floats(-1.0, 1.0),
+        gamma=st.floats(1e-10, 1e10), delta=st.floats(allow_nan=False, allow_infinity=False)))
+    n_taps = draw(st.integers(1, 512))
+    return SimConfig(n_taps=n_taps, sparsity=draw(st.integers(1, n_taps)),
+                     n_iterations=draw(st.integers(1, 10**9)),
+                     n_trials=draw(st.integers(1, 10**9)), snr_db=draw(st.floats(-50.0, 50.0)),
+                     noise=noise, algorithms=tuple(specs),
+                     master_seed=draw(st.integers(0, 2**128)),
+                     input_kind=draw(st.sampled_from(INPUT_KINDS)))
 
 
 class TestParseConfig:
@@ -172,6 +214,20 @@ class TestParseConfig:
         path.write_text("[noise]\n\n[algorithm.slms]\n")
         assert replace(parse_config(str(path)), algorithms=template.algorithms) == template
 
+    @given(config=sim_configs())
+    def test_reads_back_the_manifest_of_any_config(self, tmp_path_factory, config):
+        path = tmp_path_factory.mktemp("manifest") / "r.csv.manifest"
+        cli._write_manifest(path, config, tool_version=sparselms.__version__, workers=1)
+        assert parse_config(str(path)) == config
+
+    def test_manifest_section_is_skipped(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(MINI_CONFIG)
+        config = parse_config(str(path))
+        # neither a [run] key nor an unknown key counts in [manifest]
+        path.write_text("[manifest]\nseed = 3\nspicyness = 3\n\n" + MINI_CONFIG)
+        assert parse_config(str(path)) == config
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParameterError, match="cannot read config file"):
             parse_config(str(tmp_path / "nope.ini"))
@@ -198,6 +254,22 @@ class TestSections:
         for name, items in cli._sections(cli._REFERENCE):
             for key, value in items:
                 assert type(value) in (int, float, str), f"[{name}] {key}"
+
+
+# a bad value of each config key: _naming_keys names the key of the field a
+# library message begins with
+BAD_VALUES = [
+    ("channel", "n_taps", "many"), ("channel", "n_taps", "0"), ("channel", "sparsity", "0"),
+    ("noise", "alpha", "heavy"), ("noise", "alpha", "0.05"), ("noise", "alpha", "3.0"),
+    ("noise", "beta", "2"), ("noise", "gamma", "inf"), ("noise", "delta", "inf"),
+    ("run", "iterations", "1e3"), ("run", "trials", "0"), ("run", "seed", "-1"),
+    ("run", "snr_db", "nan"), ("run", "input", "morse"),
+    ("algorithm.slms", "mu", "fast"), ("algorithm.slms", "mu", "-1"),
+    # lambda, the one key that differs from its field's name (rho)
+    ("algorithm.slms-za", "lambda", "nan"),
+    ("algorithm.slms-rza", "eps", "0"), ("algorithm.slms-rl1", "delta", "-1"),
+    ("algorithm.slms-lp", "p", "1.5"),
+]
 
 
 class TestCmdRun:
@@ -252,12 +324,18 @@ class TestCmdRun:
         out = str(tmp_path / "r.csv")
         assert cli.main(["run", "--config", mini_path, "--out", out,
                          "--trials", "2", "--seed", "9"]) == 0
-        manifest = Path(out + ".manifest").read_text()
-        assert manifest.splitlines()[0] == f"tool_version = {sparselms.__version__}"
-        assert "trials = 2" in manifest
-        assert "seed = 9" in manifest
-        assert "algorithm.slms-za.lambda = 0.0002" in manifest
-        assert "started_utc = " in manifest and "finished_utc = " in manifest
+        manifest = read_manifest(out)
+        assert manifest.sections()[0] == "manifest"
+        facts = manifest["manifest"]
+        assert list(facts) == ["tool_version", "config_path", "output_path", "started_utc",
+                               "finished_utc", "workers", "chunks", "processes"]
+        assert facts["tool_version"] == sparselms.__version__
+        assert (facts["config_path"], facts["output_path"]) == (mini_path, out)
+        started, finished = (datetime.strptime(facts[key], "%Y-%m-%dT%H:%M:%S.%fZ")
+                             for key in ("started_utc", "finished_utc"))
+        assert started <= finished
+        assert (manifest["run"]["trials"], manifest["run"]["seed"]) == ("2", "9")
+        assert manifest["algorithm.slms-za"]["lambda"] == "0.0002"
 
     def test_manifest_records_the_processes_used(self, mini_path, tmp_path, monkeypatch,
                                                  recording_pool):
@@ -274,41 +352,52 @@ class TestCmdRun:
                              "--iterations", "20", "--workers", workers]) == 0
         assert recording_pool == [3]
         assert Path(serial).read_bytes() == Path(pooled).read_bytes()
-        manifest = Path(pooled + ".manifest").read_text().splitlines()
-        assert manifest[5:8] == ["workers = 4", "chunks = 3", "processes = 3"]
-        assert Path(serial + ".manifest").read_text().splitlines()[5:8] == [
-            "workers = 1", "chunks = 3", "processes = 1"]
+        for out, workers, processes in ((pooled, "4", "3"), (serial, "1", "1")):
+            facts = read_manifest(out)["manifest"]
+            assert [facts[key] for key in ("workers", "chunks", "processes")] == [
+                workers, "3", processes]
 
-    def test_manifest_without_noise_section_says_none(self, tmp_path):
+    def test_manifest_without_noise_has_no_noise_section(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[run]\niterations = 5\ntrials = 1\n\n[algorithm.slms]\n")
         out = str(tmp_path / "r.csv")
         assert cli.main(["run", "--config", str(path), "--out", out]) == 0
-        lines = Path(out + ".manifest").read_text().splitlines()
-        assert "noise = none" in lines
-        assert not [line for line in lines if line.startswith("noise.")]
+        manifest = read_manifest(out)
+        assert manifest.sections() == ["manifest", "channel", "run", "algorithm.slms"]
+        # no [noise] section is how a config file says "no noise"
+        assert parse_config(f"{out}.manifest").noise is None
 
     def test_manifest_records_every_template_key_by_section(self, template_path, tmp_path):
         out = str(tmp_path / "r.csv")
         assert cli.main(["run", "--config", template_path, "--out", out,
                          "--trials", "1", "--iterations", "5"]) == 0
-        manifest = Path(out + ".manifest").read_text().splitlines()
-        template = configparser.ConfigParser()
+        manifest = read_manifest(out)
+        template = configparser.ConfigParser(interpolation=None)
         template.read_string(cli.TEMPLATE)
         template["run"].update(trials="1", iterations="5")
+        assert manifest.sections() == ["manifest", *template.sections()]
         for section in template.sections():
-            for key, value in template[section].items():
-                assert f"{section}.{key} = {value}" in manifest
+            assert dict(manifest[section]) == dict(template[section]), section
+
+    def test_rerunning_the_manifest_writes_the_same_bytes(self, mini_path, tmp_path):
+        out, again = str(tmp_path / "r.csv"), str(tmp_path / "again.csv")
+        assert cli.main(["run", "--config", mini_path, "--out", out, "--trials", "2",
+                         "--seed", "9", "--algorithms", "slms-za,lms-lp"]) == 0
+        assert cli.main(["run", "--config", f"{out}.manifest", "--out", again]) == 0
+        assert Path(again).read_bytes() == Path(out).read_bytes()
+        first, second = read_manifest(out), read_manifest(again)
+        assert second["manifest"]["config_path"] == f"{out}.manifest"
+        assert first.sections() == second.sections()
+        for section in first.sections()[1:]:
+            assert dict(first[section]) == dict(second[section]), section
 
     def test_manifest_lists_each_algorithms_keys(self, template_path, tmp_path):
         out = str(tmp_path / "r.csv")
         assert cli.main(["run", "--config", template_path, "--out", out,
                          "--trials", "1", "--iterations", "5"]) == 0
-        keys = {}
-        for line in Path(out + ".manifest").read_text().splitlines():
-            if line.startswith("algorithm."):
-                name, key = line.split(" = ")[0].split(".")[1:]
-                keys.setdefault(name, []).append(key)
+        manifest = read_manifest(out)
+        keys = {section.removeprefix("algorithm."): list(manifest[section])
+                for section in manifest.sections() if section.startswith("algorithm.")}
         plain, za, rza, rl1, lp = (["mu"], ["mu", "lambda"], ["mu", "lambda", "eps"],
                                    ["mu", "lambda", "delta"], ["mu", "lambda", "eps", "p"])
         assert keys == {"lms": plain, "slms": plain, "lms-za": za, "slms-za": za,
@@ -332,22 +421,15 @@ class TestCmdRun:
         out = str(tmp_path / "r.csv")
         assert cli.main(["run", "--config", str(path), "--out", out,
                          "--algorithms", "lms-za,slms-za"]) == 0
-        lines = [line for line in Path(out + ".manifest").read_text().splitlines()
-                 if line.startswith("algorithm.")]
+        manifest = read_manifest(out)
+        algorithms = [(section, list(manifest[section].items()))
+                      for section in manifest.sections() if section.startswith("algorithm.")]
         # in flag order: lms-za has no section and runs at its defaults
-        assert lines == ["algorithm.lms-za.mu = 0.005", "algorithm.lms-za.lambda = 0.0002",
-                         "algorithm.slms-za.mu = 0.01", "algorithm.slms-za.lambda = 0.001"]
+        assert algorithms == [
+            ("algorithm.lms-za", [("mu", "0.005"), ("lambda", "0.0002")]),
+            ("algorithm.slms-za", [("mu", "0.01"), ("lambda", "0.001")])]
 
-    @pytest.mark.parametrize("section,key,value", [
-        ("channel", "n_taps", "many"), ("channel", "n_taps", "0"), ("channel", "sparsity", "0"),
-        ("noise", "alpha", "heavy"), ("noise", "alpha", "0.05"), ("noise", "alpha", "3.0"),
-        ("noise", "beta", "2"), ("noise", "gamma", "inf"),
-        ("run", "iterations", "1e3"), ("run", "trials", "0"), ("run", "seed", "-1"),
-        ("run", "snr_db", "nan"), ("run", "input", "morse"),
-        ("algorithm.slms", "mu", "fast"), ("algorithm.slms", "mu", "-1"),
-        # lambda, the one key that differs from its field's name (rho)
-        ("algorithm.slms-za", "lambda", "nan"),
-    ])
+    @pytest.mark.parametrize("section,key,value", BAD_VALUES)
     def test_bad_value_exits_2_naming_key_and_section(self, tmp_path, capsys,
                                                       section, key, value):
         config = configparser.ConfigParser()
@@ -360,6 +442,14 @@ class TestCmdRun:
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv")])
         assert code == 2
         assert f"bad value for {key!r} in [{section}]" in capsys.readouterr().err
+
+    def test_bad_values_cover_every_key(self):
+        # an [algorithm.*] key counts once, whichever algorithm's section has it
+        def keys(pairs):
+            return {(section.partition(".")[0], key) for section, key in pairs}
+
+        assert keys((section, key) for section, key, _ in BAD_VALUES) == keys(
+            (name, key) for name, items in cli._sections(cli._REFERENCE) for key, _ in items)
 
     # an algorithm section's reader messages are printed as they are, and a
     # library check is named by its key, neither as "invalid configuration"

@@ -3,10 +3,12 @@
 ``concurrent.futures.process`` pulls in ``multiprocessing``, ``socket``,
 ``subprocess`` and more; a serial command never starts a pool, so it must
 not pay for them.  ``numpy.random`` pulls in ``_hashlib`` and libcrypto,
-which ``cli.main`` blocks.  Each check but the last runs in a fresh
-interpreter, where nothing else has imported them yet.
+which ``cli.main`` blocks when it reads ``sys.argv``, as the ``sparselms``
+script calls it.  Each check but the last runs in a fresh interpreter,
+where nothing else has imported them yet.
 """
 
+import configparser
 import json
 import os
 import subprocess
@@ -98,8 +100,11 @@ def test_first_pool_in_a_fresh_process_matches_serial_bytes(tmp_path):
     assert outputs["1"].read_bytes() == outputs["2"].read_bytes()
     # the pool is min(--workers, CPUs, chunks): never more than 2 processes
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    manifest = Path(f"{outputs['2']}.manifest").read_text().splitlines()
-    assert manifest[5:8] == ["workers = 2", "chunks = 2", f"processes = {min(2, cpus)}"]
+    manifest = configparser.ConfigParser(interpolation=None)
+    manifest.read_string(Path(f"{outputs['2']}.manifest").read_text())
+    facts = manifest["manifest"]
+    assert [facts[key] for key in ("workers", "chunks", "processes")] == [
+        "2", "2", str(min(2, cpus))]
 
 
 NAME_CONTRACT = """\
@@ -120,8 +125,11 @@ def test_pool_name_resolves_to_the_standard_pool_before_first_use(tmp_path):
 NO_OPENSSL_AFTER = """\
 import json, os, pathlib, sys
 from sparselms import cli
-codes = [cli.main(["validate-noise", "--samples", "1000"]),
-         cli.main(["run", "--config", "tiny.ini", "--out", "tiny.csv", "--workers", "1"])]
+codes = []
+for argv in (["validate-noise", "--samples", "1000"],
+             ["run", "--config", "tiny.ini", "--out", "tiny.csv", "--workers", "1"]):
+    sys.argv = ["sparselms", *argv]  # main() reads them, as the script does
+    codes.append(cli.main())
 maps = "/proc/self/maps"
 libcrypto = "libcrypto" in pathlib.Path(maps).read_text() if os.path.exists(maps) else None
 import hashlib
@@ -145,9 +153,32 @@ def test_drawing_commands_never_load_openssl(tmp_path):
     assert not libcrypto
 
 
+HASHLIB_AFTER_ARGV = """\
+import importlib.util, json, sys, types
+from sparselms import cli
+available = importlib.util.find_spec("_hashlib") is not None
+code = cli.main(["validate-noise", "--samples", "1000"])
+import hashlib
+print(json.dumps([available, code, isinstance(sys.modules.get("_hashlib"), types.ModuleType),
+                  hasattr(hashlib, "scrypt")]))
+"""
+
+
+def test_main_given_argv_keeps_the_full_hashlib(tmp_path):
+    last_line = _fresh_python(HASHLIB_AFTER_ARGV, cwd=tmp_path).splitlines()[-1]
+    available, code, loaded, scrypt = json.loads(last_line)
+    if not available:
+        pytest.skip("no _hashlib in this Python")
+    assert code == 3
+    assert loaded and scrypt
+
+
 def test_main_keeps_a_hashlib_already_loaded(tmp_path, monkeypatch):
-    # an earlier in-process `main` may have blocked the module; load it afresh
-    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
     loaded = pytest.importorskip("_hashlib")
-    assert cli.main(["template", "--out", str(tmp_path / "template.ini")]) == 0
+    # restored at teardown, should main replace it
+    monkeypatch.setitem(sys.modules, "_hashlib", loaded)
+    # main reads sys.argv, as the script calls it, so it sets the block
+    monkeypatch.setattr(sys, "argv", ["sparselms", "template", "--out",
+                                      str(tmp_path / "template.ini")])
+    assert cli.main() == 0
     assert sys.modules["_hashlib"] is loaded

@@ -132,7 +132,10 @@ _INVALID_CONFIGS = [
     (dict(master_seed=-1), "master_seed must be >= 0, got -1"),
     (dict(input_kind="morse"), None),
     (dict(snr_db=float("nan")), None), (dict(algorithms=()), None),
-    (dict(snr_db=4000.0), None), (dict(snr_db=-4000.0), None),
+    (dict(snr_db=4000.0), None),
+    # 10.0 ** 400 overflows: the message names the fault, not an errno tuple
+    (dict(snr_db=-4000.0), "snr_db = -4000.0 scales the noise dispersion gamma = 1.0 "
+                           "out of range: gamma must be finite and positive, got inf"),
     (dict(noise=AlphaStableParams(1.2, gamma=1e300), snr_db=-100.0), None),
     # the sampler's scale gamma**(1/alpha) underflows
     (dict(noise=AlphaStableParams(0.1), snr_db=400.0), None),
