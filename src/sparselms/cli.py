@@ -241,6 +241,10 @@ def cmd_run(args):
     config = parse_config(args.config, run=run, algorithms=args.algorithms)
 
     outputs = (args.out, args.out + ".manifest")
+    # a line break in a path would start a new line, a section header say, in the manifest
+    for option, path in (("--config", args.config), ("--out", args.out)):
+        if "\n" in path or "\r" in path:
+            raise ParameterError(f"{option} must not contain a line break, got {path!r}")
     if os.path.realpath(args.config) in map(os.path.realpath, outputs):
         raise ParameterError(f"--out {args.out} would overwrite the config file {args.config}")
     # chunk_layout depends on the config and --workers alone: these are the

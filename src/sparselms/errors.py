@@ -1,5 +1,6 @@
 """The exception type shared across the package, and its input checks."""
 
+import math
 import numbers
 
 
@@ -22,8 +23,15 @@ def require_integers(floor=None, /, **counts):
 
 def require_numbers(**values):
     """Raise :class:`ParameterError` naming the first of ``values`` that is
-    not a real number, which a range check would meet with a TypeError, or
-    that is a ``bool``, which a range check would read as 0 or 1."""
+    not a real number, which a range check would meet with a TypeError, that
+    is a ``bool``, which a range check would read as 0 or 1, or that is not
+    finite: inf, nan, or an int too large for a float."""
     for name, value in values.items():
         if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise ParameterError(f"{name} must be a number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int whose digits may be too many to print
+            raise ParameterError(f"{name} must be finite, got an int too large for a float")
+        if not finite:
+            raise ParameterError(f"{name} must be finite, got {value}")

@@ -37,7 +37,6 @@ lms-lp, slms-lp.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,9 +95,9 @@ class AlgorithmSpec:
         require_numbers(**{attr: getattr(self, attr) for attr in ("mu", *defaults)})
         for attr in ("mu", "eps", "delta"):
             value = getattr(self, attr)
-            if value is not None and not (math.isfinite(value) and value > 0):
+            if value is not None and value <= 0:
                 raise ParameterError(f"{attr} must be finite and positive, got {value}")
-        if self.rho is not None and not (math.isfinite(self.rho) and self.rho >= 0):
+        if self.rho is not None and self.rho < 0:
             raise ParameterError(f"rho must be finite and >= 0, got {self.rho}")
         if self.p is not None and not (0.0 < self.p < 1.0):
             raise ParameterError(f"p must be in (0, 1), got {self.p}")

@@ -113,8 +113,6 @@ class SimConfig:
             raise ParameterError(
                 f"sparsity must be in [1, {self.n_taps}], got {self.sparsity}")
         require_numbers(snr_db=self.snr_db)
-        if not math.isfinite(self.snr_db):
-            raise ParameterError(f"snr_db must be finite, got {self.snr_db}")
         require_integers(0, master_seed=self.master_seed)
         if self.input_kind not in INPUT_KINDS:
             raise ParameterError(f"input_kind must be {' or '.join(map(repr, INPUT_KINDS))}, "
@@ -170,13 +168,16 @@ def apply_snr(config):
     matched to the nominal noise scale, and the noise parameters with their
     dispersion divided by 10**(snr_db/10).  With ``noise = None`` the hook
     returns unit power and no noise.  Raises :class:`ParameterError`
-    naming ``snr_db`` if the scaled parameters are out of range (see
-    :class:`AlphaStableParams`).
+    naming ``gamma`` if the signal power overflows, and naming ``snr_db``
+    if the scaled parameters are out of range (see :class:`AlphaStableParams`).
     """
     if config.noise is None:
         return 1.0, None
     noise = config.noise
     power = 2.0 * noise.gamma if noise.alpha == 2.0 else noise.gamma
+    if power == math.inf:  # 2 * gamma overflows
+        raise ParameterError(f"gamma = {noise.gamma} gives the signal power {power} "
+                             "at alpha = 2; it must be finite")
     try:
         gamma = noise.gamma * 10.0 ** (-config.snr_db / 10.0)
     except OverflowError:

@@ -79,7 +79,7 @@ class AlphaStableParams:
             raise ParameterError(f"alpha must be in [0.1, 2], got {self.alpha}")
         if not (-1.0 <= self.beta <= 1.0):
             raise ParameterError(f"beta must be in [-1, 1], got {self.beta}")
-        if not (np.isfinite(self.gamma) and self.gamma > 0.0):
+        if self.gamma <= 0.0:
             raise ParameterError(f"gamma must be finite and positive, got {self.gamma}")
         try:
             scale = self.scale
@@ -89,8 +89,6 @@ class AlphaStableParams:
             raise ParameterError(
                 f"gamma = {self.gamma} gives the sample scale gamma**(1/alpha) = {scale} "
                 f"at alpha = {self.alpha}; it must be finite and positive")
-        if not np.isfinite(self.delta):
-            raise ParameterError(f"delta must be finite, got {self.delta}")
 
     @property
     def scale(self):

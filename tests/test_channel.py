@@ -71,6 +71,13 @@ class TestGenerateInput:
         with pytest.raises(ParameterError):
             generate_input(rng=np.random.default_rng(0), **kwargs)
 
+    # 10**400 is an int too large for a float
+    @pytest.mark.parametrize("power", [float("inf"), float("nan"),
+                                       pytest.param(10**400, id="10**400")])
+    def test_non_finite_power_rejected_naming_it(self, power):
+        with pytest.raises(ParameterError, match="^power must be finite, got "):
+            generate_input(3, power, np.random.default_rng(0))
+
 
 class TestRegressor:
     def test_recent_first(self):

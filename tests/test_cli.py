@@ -180,11 +180,16 @@ class TestParseConfig:
         *((f"[noise]\n{noise}\n\n[run]\niterations = 20\ntrials = 1\n\n[algorithm.slms]\n",
            [], "bad value for 'gamma' in [noise]")
           for noise in ["alpha = 0.1\ngamma = 1e300", "alpha = 0.5\ngamma = 1e200"]),
+        # the signal power 2 * gamma overflows at alpha = 2
+        ("[noise]\nalpha = 2.0\ngamma = 1e308\n\n[run]\niterations = 20\ntrials = 1\n\n"
+         "[algorithm.slms]\n", [], "bad value for 'gamma' in [noise]: gamma = 1e+308 gives "
+         "the signal power inf at alpha = 2; it must be finite\n"),
     ], ids=["unknown-key", "unknown-section", "default-section", "unknown-algorithm",
             "non-utf8", "malformed", "no-algorithms", "unselected-section",
             "flag-trials-0", "flag-iterations-0", "flag-seed--2", "flag-trials-abc",
             "workers-0", "workers--3", "snr4000", "snr-4000", "snr-100-gamma1e300",
-            "snr400-alpha0.1", "scale-alpha0.1-gamma1e300", "scale-alpha0.5-gamma1e200"])
+            "snr400-alpha0.1", "scale-alpha0.1-gamma1e300", "scale-alpha0.5-gamma1e200",
+            "power-alpha2-gamma1e308"])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, text, argv, message):
         path = tmp_path / "c.ini"
         if isinstance(text, bytes):
@@ -490,6 +495,20 @@ class TestCmdRun:
             f"error: --out {out} would overwrite the config file {path}\n")
         assert path.read_text() == MINI_CONFIG
         assert sorted(tmp_path.iterdir()) == [path]
+
+    # a line break in a path would break its line of the manifest; the
+    # --out row is a path that would add a second [run] section
+    @pytest.mark.parametrize("option,name", [("--config", "c\r.ini"),
+                                             ("--out", "odd\n[run]\ntrials = 7\nname.csv")],
+                             ids=["config", "out"])
+    def test_line_break_in_a_path_exits_2(self, tmp_path, capsys, option, name):
+        paths = {"--config": tmp_path / "c.ini", "--out": tmp_path / "r.csv"}
+        paths[option] = tmp_path / name
+        paths["--config"].write_text(MINI_CONFIG)
+        assert cli.main(["run", *(str(arg) for pair in paths.items() for arg in pair)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {option} must not contain a line break, got {str(paths[option])!r}\n")
+        assert sorted(tmp_path.iterdir()) == [paths["--config"]]
 
     def test_experiment_failure_exits_3_leaving_empty_outputs(self, mini_path, tmp_path,
                                                               capsys, monkeypatch):

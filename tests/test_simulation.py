@@ -131,11 +131,11 @@ _INVALID_CONFIGS = [
     (dict(sparsity=17), "sparsity must be in [1, 16], got 17"),
     (dict(master_seed=-1), "master_seed must be >= 0, got -1"),
     (dict(input_kind="morse"), None),
-    (dict(snr_db=float("nan")), None), (dict(algorithms=()), None),
+    (dict(snr_db=float("nan")), "snr_db must be finite, got nan"), (dict(algorithms=()), None),
     (dict(snr_db=4000.0), None),
     # 10.0 ** 400 overflows: the message names the fault, not an errno tuple
     (dict(snr_db=-4000.0), "snr_db = -4000.0 scales the noise dispersion gamma = 1.0 "
-                           "out of range: gamma must be finite and positive, got inf"),
+                           "out of range: gamma must be finite, got inf"),
     (dict(noise=AlphaStableParams(1.2, gamma=1e300), snr_db=-100.0), None),
     # the sampler's scale gamma**(1/alpha) underflows
     (dict(noise=AlphaStableParams(0.1), snr_db=400.0), None),

@@ -95,11 +95,13 @@ def test_invalid_params_rejected(kwargs):
         AlphaStableParams(**kwargs)
 
 
-@pytest.mark.parametrize("field", ["gamma", "delta"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["gamma", "delta", "alpha", "beta"])
+# 10**400 is an int too large for a float
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                   pytest.param(10**400, id="10**400")])
 def test_non_finite_scale_and_location_rejected(field, value):
-    with pytest.raises(ParameterError, match=field):
-        AlphaStableParams(alpha=1.5, **{field: value})
+    with pytest.raises(ParameterError, match=f"^{field} must be finite, got "):
+        AlphaStableParams(**{"alpha": 1.5, field: value})
 
 
 def whole_array_sample(params, rng, size=None):
