@@ -67,7 +67,7 @@ def generate_input(length, power, rng, kind="gaussian"):
         return rng.normal(0.0, root, length)
     if kind == "binary":
         return root * (2.0 * rng.integers(0, 2, length) - 1.0)
-    raise ParameterError(f"unknown input kind {kind!r}, expected one of {INPUT_KINDS}")
+    raise ParameterError(f"kind must be {' or '.join(map(repr, INPUT_KINDS))}, got {kind!r}")
 
 
 # the package does not call this; it stays because benchmarks/layers.py times it

@@ -25,15 +25,12 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import islice
-from types import SimpleNamespace
-
-import numpy as np
 
 from . import __version__
 from .errors import ParameterError, require_integers
 from .filters import FAMILIES, PENALTY_PARAMS, AlgorithmSpec
 from .simulation import SimConfig, chunk_layout, run_experiment
-from .stable import (BLOCK, CF_GRID, AlphaStableParams, characteristic_function, empirical_cf,
+from .stable import (CF_GRID, AlphaStableParams, blocks, characteristic_function, empirical_cf,
                      sample)
 
 EXIT_OK = 0
@@ -129,7 +126,7 @@ def _read(parser, section, keys, reference):
 def _naming_keys(sections):
     """Re-raise a :class:`ParameterError` as one naming the config key of
     the field that the library's message begins with; ``sections`` maps
-    section -> config key -> field."""
+    section -> config key -> field; any other is re-raised as it is."""
     try:
         yield
     except ParameterError as exc:
@@ -139,7 +136,7 @@ def _naming_keys(sections):
                 if key_field == field:
                     raise ParameterError(
                         f"bad value for {key!r} in [{name}]: {key} {rest}") from exc
-        raise ParameterError(f"invalid configuration: {exc}") from exc
+        raise
 
 
 def _algorithm(parser, name):
@@ -147,10 +144,8 @@ def _algorithm(parser, name):
     ``[algorithm.<name>]`` section of ``parser`` gives, if any."""
     spec = AlgorithmSpec.from_name(name)
     section, keys = f"algorithm.{name}", _algorithm_keys(spec)
-    # read outside _naming_keys, which would rename the reader's own messages
-    values = _read(parser, section, keys, spec)
     with _naming_keys({section: keys}):
-        return replace(spec, **values)
+        return replace(spec, **_read(parser, section, keys, spec))
 
 
 def parse_config(path, run=None, algorithms=None):
@@ -169,7 +164,7 @@ def parse_config(path, run=None, algorithms=None):
     # no [DEFAULT] section: its keys would be copied into every section
     parser = configparser.ConfigParser(interpolation=None, default_section=None)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
@@ -283,18 +278,8 @@ def cmd_validate_noise(args):
         raise ParameterError(f"samples must be <= {MAX_SAMPLES}, got {args.samples}")
     require_integers(0, seed=args.seed)
 
-    # the draws of sample(params, rng, size=n), streamed BLOCK at a time:
-    # sample draws all of its uniforms before any exponential, and PCG64,
-    # which default_rng always gives, spends one 64-bit output per uniform
-    # double, so a second generator from the same seed, advanced by n,
-    # yields the exponentials in the same order
-    n = args.samples
-    rng = np.random.default_rng(args.seed)
-    ahead = np.random.default_rng(args.seed)
-    ahead.bit_generator.advance(n)
-    split = SimpleNamespace(uniform=rng.uniform, standard_exponential=ahead.standard_exponential)
-    estimates = empirical_cf(sample(params, split, size=min(BLOCK, n - start))
-                             for start in range(0, n, BLOCK))
+    estimates = empirical_cf(sample(params, rng, size=size)
+                             for rng, size in blocks(args.seed, args.samples))
     print(f"alpha={params.alpha} beta={params.beta} gamma={params.gamma} "
           f"delta={params.delta} samples={args.samples} seed={args.seed}")
     print(f"{'t':>6}  {'|empirical|':>12}  {'|analytic|':>12}  {'|error|':>10}")

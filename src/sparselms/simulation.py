@@ -124,7 +124,7 @@ class SimConfig:
             raise ParameterError("algorithms must be AlgorithmSpec instances")
         names = [a.name for a in self.algorithms]
         if len(set(names)) != len(names):
-            raise ParameterError(f"duplicate algorithm names in {names}")
+            raise ParameterError(f"algorithms must not repeat a name, got {names}")
         if self.noise is not None and not isinstance(self.noise, AlphaStableParams):
             raise ParameterError("noise must be AlphaStableParams or None")
         apply_snr(self)  # rejects an snr_db that scales the noise out of range

@@ -19,6 +19,7 @@ test suite and the ``validate-noise`` CLI command).
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -169,15 +170,27 @@ def sample(params, rng, size=None):
     return float(out[0]) if scalar else out
 
 
+def blocks(seed, n):
+    """``(rng, size)`` pairs, ``size <= BLOCK``, such that ``sample(params, rng,
+    size=size)`` on each in order gives the draws of ``sample(params,
+    np.random.default_rng(seed), size=n)``.  sample draws all of its uniforms
+    before any exponential, and PCG64, which default_rng always gives, spends
+    one 64-bit output per uniform double, so a second generator from the same
+    seed, advanced by n, yields the exponentials in the same order."""
+    ahead = np.random.default_rng(np.random.PCG64(seed).advance(n))
+    rng = SimpleNamespace(uniform=np.random.default_rng(seed).uniform,
+                          standard_exponential=ahead.standard_exponential)
+    for start in range(0, n, BLOCK):
+        yield rng, min(BLOCK, n - start)
+
+
 # _cms is in-place ufunc calls on reused buffers.  Its branch formulas as
 # plain per-block expressions are shorter and bit-identical, but slower:
-# each operation allocates a block-sized temporary, which at 2**16 draws
-# (512 KiB) numpy maps afresh every time.  Measured on a 2-vCPU VM with
-# numpy 2.4, 4e6 skewed draws took 0.462 s against 0.353 s, with 49.8k
-# minor page faults against 0.7k.  Shrinking the blocks to 2**13 did not
-# rescue the expression form: the benchmark's noise_validate workload was
-# still slower than the in-place form in 6 of 6 interleaved pairs (wall_s
-# 0.670 against 0.629 s).
+# each operation allocates a block-sized temporary.  At 2**14-draw blocks,
+# validate-noise at 4e6 skewed draws (medians of 12 interleaved runs, 2-vCPU
+# VM, numpy 2.4) took 0.777 against 0.699 s, and 0.458 against 0.417 s in
+# another session, at 0.2-0.5 MB more peak RSS; its tracemalloc peak rose
+# from 1.03 to 1.41-1.53 MiB, against the 1.5 MiB its test allows.
 def _cms(params, v, w, tmp):
     """Overwrite uniform ``v`` with its CMS transform, using exponential ``w``.
 

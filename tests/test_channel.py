@@ -62,13 +62,15 @@ class TestGenerateInput:
         assert set(np.unique(sig)) == {-2.0, 2.0}
         assert np.mean(sig**2) == 4.0
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(length=0, power=1.0), dict(length=10, power=0.0),
-        dict(length=10, power=-1.0), dict(length=10, power=1.0, kind="ternary"),
-        dict(length=10.9, power=1.0), dict(length=10.0, power=1.0),
-    ])
-    def test_invalid_args(self, kwargs):
-        with pytest.raises(ParameterError):
+    # each message begins with the field it rejects; ids by position
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(length=0, power=1.0), "length"), (dict(length=10, power=0.0), "power"),
+        (dict(length=10, power=-1.0), "power"),
+        (dict(length=10, power=1.0, kind="ternary"), "kind"),
+        (dict(length=10.9, power=1.0), "length"), (dict(length=10.0, power=1.0), "length"),
+    ], ids=[f"kwargs{i}" for i in range(6)])
+    def test_invalid_args(self, kwargs, field):
+        with pytest.raises(ParameterError, match=f"^{field} must be "):
             generate_input(rng=np.random.default_rng(0), **kwargs)
 
     # 10**400 is an int too large for a float

@@ -233,6 +233,14 @@ class TestParseConfig:
         path.write_text("[manifest]\nseed = 3\nspicyness = 3\n\n" + MINI_CONFIG)
         assert parse_config(str(path)) == config
 
+    # an editor may save UTF-8 with a byte-order mark; the file reads the same
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(MINI_CONFIG)
+        config = parse_config(str(path))
+        path.write_bytes(b"\xef\xbb\xbf" + MINI_CONFIG.encode())
+        assert parse_config(str(path)) == config
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParameterError, match="cannot read config file"):
             parse_config(str(tmp_path / "nope.ini"))
@@ -410,7 +418,9 @@ class TestCmdRun:
                         "lms-lp": lp, "slms-lp": lp}
 
     @pytest.mark.parametrize("names,message", [
-        ("slms,slms", "duplicate"), (",", "unknown algorithm name ''"),
+        pytest.param("slms,slms", "error: algorithms must not repeat a name, "
+                     "got ['slms', 'slms']\n", id="slms,slms-duplicate"),
+        (",", "unknown algorithm name ''"),
         ("slms-l0", "unknown algorithm name 'slms-l0'")])
     def test_bad_algorithm_selection_exits_2(self, mini_path, tmp_path, capsys,
                                              names, message):
@@ -699,7 +709,6 @@ class TestValidateNoise:
         outputs = []
         for block in BLOCK_SIZES:
             monkeypatch.setattr(stable, "BLOCK", block)
-            monkeypatch.setattr(cli, "BLOCK", block)
             for argv, expected in VALIDATE_NOISE_OUTPUT:
                 assert cli.main(["validate-noise", *argv]) == 0
                 assert capsys.readouterr().out == expected, block

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import SPAN
 from sparselms import AlphaStableParams, ParameterError, characteristic_function, sample
-from sparselms.stable import CF_GRID, empirical_cf
+from sparselms.stable import BLOCK, CF_GRID, blocks, empirical_cf
 
 # (alpha, beta, gamma, delta) of the sampler's CDF check against scipy
 CDF_CASES = [(1.5, 0.5, 1.0, 0.0), (1.0, 0.5, 1.0, 0.0), (1.0, 0.5, 2.0, 0.0),
@@ -153,6 +153,19 @@ def test_blocked_sampler_is_bit_identical_to_whole_array(params, size):
     assert np.array_equal(blocked, whole)
     # the sampler leaves the stream where the whole-array draw does
     assert rng_blocked.bit_generator.state == rng_whole.bit_generator.state
+
+
+# blocks splits one seeded draw of n: sampled in order, its blocks give the
+# whole-array draw bit for bit, at and around the block boundaries
+@pytest.mark.parametrize("params", BRANCHES, ids=lambda p: f"{p.alpha}-{p.beta}-{p.gamma}-{p.delta}")
+@pytest.mark.parametrize("n", [1, SPAN - 1, SPAN, SPAN + 1, 2 * SPAN + 3])
+def test_blocks_concatenate_to_the_whole_array_draw(params, n):
+    draws = []
+    for rng, size in blocks(5, n):
+        assert 1 <= size <= BLOCK
+        draws.append(sample(params, rng, size=size))
+    assert np.array_equal(np.concatenate(draws),
+                          whole_array_sample(params, np.random.default_rng(5), size=n))
 
 
 @pytest.mark.parametrize("params", BRANCHES[:4], ids=lambda p: f"{p.alpha}-{p.beta}")
