@@ -195,15 +195,14 @@ def parse_config(path, run=None, algorithms=None):
                          algorithms=tuple(specs))
 
 
-def _write_manifest(path, config, **facts):
-    """What was run: a ``[manifest]`` section of ``facts``, then ``config``
-    laid out as the template is, so that ``parse_config`` reads it back."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_ini([("manifest", facts.items()), *_sections(config)]))
+def _write_manifest(fh, config, **facts):
+    """What was run, to the open text file ``fh``: a ``[manifest]`` section of
+    ``facts``, then ``config`` as the template is, so ``parse_config`` reads it."""
+    fh.write(_ini([("manifest", facts.items()), *_sections(config)]))
 
 
-def _write_curves_csv(path, curves):
-    """Write the learning curves to ``path`` as CSV.
+def _write_curves_csv(fh, curves):
+    """Write the learning curves to the open text file ``fh`` as CSV.
 
     After the ``CSV_HEADER`` line, each row is ``algorithm,iteration,
     mse_db,trials_diverged`` with iterations counted from 1; curves are
@@ -213,16 +212,15 @@ def _write_curves_csv(path, curves):
     curve in blocks of 4096, so beside the curves the writer holds one
     curve's values as Python floats and one block of formatted rows.
     """
-    with open(path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for curve in sorted(curves, key=lambda c: c.algorithm):
-            name, diverged = curve.algorithm, curve.trials_diverged
-            # tolist gives Python floats: a numpy scalar's repr is np.float64(...)
-            rows = (f"{name},{i},{value!r},{diverged}\n"
-                    for i, value in enumerate(curve.mse_db.tolist(), start=1))
-            # a write call per row would cost about 10% of the writer's time
-            while block := "".join(islice(rows, 4096)):
-                fh.write(block)
+    fh.write(CSV_HEADER + "\n")
+    for curve in sorted(curves, key=lambda c: c.algorithm):
+        name, diverged = curve.algorithm, curve.trials_diverged
+        # tolist gives Python floats: a numpy scalar's repr is np.float64(...)
+        rows = (f"{name},{i},{value!r},{diverged}\n"
+                for i, value in enumerate(curve.mse_db.tolist(), start=1))
+        # a write call per row would cost about 10% of the writer's time
+        while block := "".join(islice(rows, 4096)):
+            fh.write(block)
 
 
 def _utc_now():
@@ -240,28 +238,25 @@ def cmd_run(args):
     for option, path in (("--config", args.config), ("--out", args.out)):
         if "\n" in path or "\r" in path:
             raise ParameterError(f"{option} must not contain a line break, got {path!r}")
-    if os.path.realpath(args.config) in map(os.path.realpath, outputs):
+    if any(os.path.exists(path) and os.path.samefile(path, args.config) for path in outputs):
         raise ParameterError(f"--out {args.out} would overwrite the config file {args.config}")
     # chunk_layout depends on the config and --workers alone: these are the
     # manifest's chunks and pool, and a bad --workers fails before any file opens
     chunks, processes = chunk_layout(config, args.workers)
-    # create both output files first, so an unwritable --out fails before the run
-    for path in outputs:
-        open(path, "w").close()
-
-    started = _utc_now()
-    try:
-        curves = run_experiment(config, workers=args.workers)
-    except Exception as exc:  # noqa: BLE001 - surface anything as a runtime failure
-        print(f"error: experiment failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    finished = _utc_now()
-
-    _write_curves_csv(args.out, curves)
-    _write_manifest(args.out + ".manifest", config, tool_version=__version__,
-                    config_path=args.config, output_path=args.out, started_utc=started,
-                    finished_utc=finished, workers=args.workers, chunks=len(chunks),
-                    processes=processes)
+    # open each output once, before the run: an unwritable --out fails before any trial runs
+    with open(args.out, "w", newline="\n") as csv_file, \
+            open(args.out + ".manifest", "w", newline="\n") as manifest_file:
+        started = _utc_now()
+        try:
+            curves = run_experiment(config, workers=args.workers)
+        except Exception as exc:  # noqa: BLE001 - surface anything as a runtime failure
+            print(f"error: experiment failed: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        finished = _utc_now()
+        _write_curves_csv(csv_file, curves)
+        _write_manifest(manifest_file, config, tool_version=__version__, config_path=args.config,
+                        output_path=args.out, started_utc=started, finished_utc=finished,
+                        workers=args.workers, chunks=len(chunks), processes=processes)
 
     dead = [c.algorithm for c in curves if c.trials_diverged == config.n_trials]
     if dead:

@@ -118,10 +118,7 @@ def characteristic_function(params, t):
     else:
         s = np.tan(a * np.pi / 2.0)
     exponent = 1j * d * t_arr - g * np.abs(t_arr) ** a * (1.0 + 1j * b * np.sign(t_arr) * s)
-    out = np.exp(exponent)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return complex(out)
-    return out
+    return np.exp(exponent)
 
 
 def sample(params, rng, size=None):

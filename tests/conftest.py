@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -12,6 +13,27 @@ ALL_NAMES = ("lms", "slms", "lms-za", "slms-za", "lms-rza", "slms-rza",
 # SPAN sit on block boundaries whichever size is tuned in
 BLOCK_SIZES = (1 << 12, 1 << 14, 1 << 16)
 SPAN = 1 << 16
+
+
+def algorithm_specs(*names):
+    return tuple(AlgorithmSpec.from_name(n) for n in names)
+
+
+def central_difference(func, w, h=1e-7):
+    """The gradient of ``func`` at ``w`` by central differences of step ``h``."""
+    grad = np.zeros_like(w)
+    for i in range(w.size):
+        up, down = w.copy(), w.copy()
+        up[i] += h
+        down[i] -= h
+        grad[i] = (func(up) - func(down)) / (2.0 * h)
+    return grad
+
+
+def random_zero_free(rng, n=8, low=0.2, high=1.5):
+    """``n`` weights of magnitude in [low, high) and random sign."""
+    return rng.uniform(low, high, n) * rng.choice([-1.0, 1.0], n)
+
 
 settings.register_profile(
     "ci", deadline=None, derandomize=True, max_examples=50,

@@ -9,6 +9,7 @@ nominal large-M figures to absorb the smaller trial count.
 import numpy as np
 import pytest
 
+from conftest import algorithm_specs, central_difference, random_zero_free
 from sparselms import (AlgorithmSpec, AlphaStableParams, FilterState,
                        SimConfig, attractor, cli, penalty_value,
                        run_experiment, sample, step)
@@ -19,15 +20,11 @@ SLMS_FAMILY = ("slms", "slms-za", "slms-rza", "slms-rl1", "slms-lp")
 PENALTIES = ("za", "rza", "rl1", "lp")
 
 
-def _specs(names):
-    return tuple(AlgorithmSpec.from_name(n) for n in names)
-
-
 def _experiment(algorithms, *, alpha=1.2, snr_db=10.0, sparsity=8):
     config = SimConfig(n_taps=128, sparsity=sparsity, n_iterations=3000,
                        n_trials=N_TRIALS, snr_db=snr_db,
                        noise=AlphaStableParams(alpha),
-                       algorithms=_specs(algorithms), master_seed=MASTER_SEED)
+                       algorithms=algorithm_specs(*algorithms), master_seed=MASTER_SEED)
     return {c.algorithm: c for c in run_experiment(config)}
 
 
@@ -158,32 +155,23 @@ def test_criterion_7_gradient_oracle_suite():
     }
     worst = {name: 0.0 for name in specs}
 
-    def central_diff(func, w, h=1e-7):
-        grad = np.zeros_like(w)
-        for i in range(w.size):
-            up, down = w.copy(), w.copy()
-            up[i] += h
-            down[i] -= h
-            grad[i] = (func(up) - func(down)) / (2 * h)
-        return grad
-
     for _ in range(100):
-        w = rng.uniform(0.2, 1.5, 8) * rng.choice([-1.0, 1.0], 8)
-        w_prev = rng.uniform(0.2, 1.5, 8) * rng.choice([-1.0, 1.0], 8)
+        w = random_zero_free(rng)
+        w_prev = random_zero_free(rng)
 
         spec = specs["za"]
-        fd = central_diff(lambda v: penalty_value(spec, v), w)
+        fd = central_difference(lambda v: penalty_value(spec, v), w)
         worst["za"] = max(worst["za"], float(np.max(
             np.abs(attractor(spec, w) - spec.rho * fd) / np.abs(spec.rho * fd))))
 
         spec = specs["rza"]
-        fd = central_diff(lambda v: penalty_value(spec, v), w)
+        fd = central_difference(lambda v: penalty_value(spec, v), w)
         scaled = (spec.rho / spec.eps) * fd
         worst["rza"] = max(worst["rza"], float(np.max(
             np.abs(attractor(spec, w) - scaled) / np.abs(scaled))))
 
         spec = specs["rl1"]
-        fd = central_diff(lambda v: penalty_value(spec, v, w_prev), w)
+        fd = central_difference(lambda v: penalty_value(spec, v, w_prev), w)
         scaled = spec.rho * fd
         worst["rl1"] = max(worst["rl1"], float(np.max(
             np.abs(attractor(spec, w, w_prev) - scaled) / np.abs(scaled))))

@@ -1,9 +1,11 @@
 import ast
 import configparser
+import contextlib
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 from datetime import datetime
@@ -222,7 +224,8 @@ class TestParseConfig:
     @given(config=sim_configs())
     def test_reads_back_the_manifest_of_any_config(self, tmp_path_factory, config):
         path = tmp_path_factory.mktemp("manifest") / "r.csv.manifest"
-        cli._write_manifest(path, config, tool_version=sparselms.__version__, workers=1)
+        with path.open("w", newline="\n") as fh:
+            cli._write_manifest(fh, config, tool_version=sparselms.__version__, workers=1)
         assert parse_config(str(path)) == config
 
     def test_manifest_section_is_skipped(self, tmp_path):
@@ -493,18 +496,29 @@ class TestCmdRun:
         assert code == 4
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
-    # the CSV, or its manifest, on the config file itself, spelled another way
-    @pytest.mark.parametrize("name,out", [("c.ini", "./c.ini"), ("r.csv.manifest", "./r.csv")],
-                             ids=["csv", "manifest"])
-    def test_out_naming_the_config_exits_2(self, tmp_path, capsys, name, out):
+    # the CSV, or its manifest, on the config file itself, spelled another
+    # way or reached through a link, made by ``make`` and named ``link``
+    @pytest.mark.parametrize("name,out,link,make", [
+        ("c.ini", "./c.ini", None, None), ("r.csv.manifest", "./r.csv", None, None),
+        ("c.ini", "r.csv", "r.csv", os.link), ("c.ini", "r.csv", "r.csv.manifest", os.link),
+        ("c.ini", "r.csv", "r.csv", os.symlink),
+    ], ids=["csv", "manifest", "csv-hard-link", "manifest-hard-link", "csv-symlink"])
+    def test_out_naming_the_config_exits_2(self, tmp_path, capsys, name, out, link, make):
         path = tmp_path / name
         path.write_text(MINI_CONFIG)
+        made = [path]
+        if make is not None:
+            made.append(tmp_path / link)
+            try:
+                make(path, made[-1])
+            except OSError as exc:
+                pytest.skip(f"cannot make the link: {exc}")
         out = f"{tmp_path}/{out}"
         assert cli.main(["run", "--config", str(path), "--out", out]) == 2
         assert capsys.readouterr().err == (
             f"error: --out {out} would overwrite the config file {path}\n")
         assert path.read_text() == MINI_CONFIG
-        assert sorted(tmp_path.iterdir()) == [path]
+        assert sorted(tmp_path.iterdir()) == sorted(made)
 
     # a line break in a path would break its line of the manifest; the
     # --out row is a path that would add a second [run] section
@@ -533,9 +547,41 @@ class TestCmdRun:
         assert out.read_bytes() == b""
         assert Path(f"{out}.manifest").read_bytes() == b""
 
+    # a named pipe takes the CSV as a stream: a run that opened it twice
+    # would give its reader end of file at the first close, then wait in the
+    # second open for a reader for good, so the run goes to a subprocess
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_named_pipe_as_out_gets_the_whole_csv(self, mini_path, tmp_path, workers):
+        regular = tmp_path / "r.csv"
+        assert cli.main(["run", "--config", mini_path, "--out", str(regular)]) == 0
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        received = []
+
+        def drain():
+            with open(pipe, "rb") as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "sparselms.cli", "run", "--config",
+                                   mini_path, "--out", str(pipe), "--workers", workers],
+                                  capture_output=True, text=True, env=env, timeout=60)
+        finally:
+            # a reader still waiting for a writer gets end of file
+            while reader.is_alive():
+                with contextlib.suppress(OSError):
+                    os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(0.1)
+        assert proc.returncode == 0, proc.stderr
+        assert received == [regular.read_bytes()]
+
     def test_write_failure_after_the_run_exits_4(self, mini_path, tmp_path, capsys,
                                                  monkeypatch):
-        def write_curves_csv(path, curves):
+        def write_curves_csv(fh, curves):
             raise OSError("disk full")
 
         monkeypatch.setattr(cli, "_write_curves_csv", write_curves_csv)
@@ -583,7 +629,8 @@ class TestCurvesCsv:
             LearningCurve("lms", np.array([1e-05, -3.25]), 1),
         ]
         path = tmp_path / "c.csv"
-        cli._write_curves_csv(str(path), curves)
+        with path.open("w", newline="\n") as fh:
+            cli._write_curves_csv(fh, curves)
         assert path.read_bytes() == b"""\
 algorithm,iteration,mse_db,trials_diverged
 lms,1,1e-05,1
@@ -599,11 +646,12 @@ slms-za,2,0.30000000000000004,0
         rng = np.random.default_rng(0)
         curves = [LearningCurve(name, rng.normal(-30.0, 5.0, n), 0)
                   for name in ("lms", "slms")]
-        path = str(tmp_path / "c.csv")
+        path = tmp_path / "c.csv"
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            cli._write_curves_csv(path, curves)
+            with path.open("w", newline="\n") as fh:
+                cli._write_curves_csv(fh, curves)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -614,7 +662,7 @@ slms-za,2,0.30000000000000004,0
         # line by line, since a diff of the whole texts takes minutes
         expected = [cli.CSV_HEADER] + [f"{c.algorithm},{i},{value!r},0" for c in curves
                                        for i, value in enumerate(c.mse_db.tolist(), start=1)]
-        written = Path(path).read_text().splitlines()
+        written = path.read_text().splitlines()
         assert len(written) == len(expected)
         assert next(((w, e) for w, e in zip(written, expected) if w != e), None) is None
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ALL_NAMES
+from conftest import ALL_NAMES, central_difference, random_zero_free
 from sparselms import (AlgorithmSpec, FilterState, ParameterError, attractor,
                        penalty_value, step)
 from sparselms.filters import PENALTY_PARAMS, PENALTIES
@@ -101,20 +101,6 @@ class TestInvariants:
         att = attractor(spec, w)  # w_prev defaults to zeros
         expected = (spec.rho / spec.delta) * np.sign(w)
         np.testing.assert_allclose(att, expected, rtol=1e-15)
-
-
-def central_difference(func, w, h=1e-7):
-    grad = np.zeros_like(w)
-    for i in range(w.size):
-        up, down = w.copy(), w.copy()
-        up[i] += h
-        down[i] -= h
-        grad[i] = (func(up) - func(down)) / (2.0 * h)
-    return grad
-
-
-def random_zero_free(rng, n=8, low=0.2, high=1.5):
-    return rng.uniform(low, high, n) * rng.choice([-1.0, 1.0], n)
 
 
 class TestGradientConsistency:

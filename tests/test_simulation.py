@@ -12,21 +12,17 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import ALL_NAMES
+from conftest import ALL_NAMES, algorithm_specs
 from sparselms import (AlgorithmSpec, AlphaStableParams, ParameterError,
                        SimConfig, derive_trial_seed, generate_input,
                        make_realization, run_experiment, simulation)
 from sparselms.simulation import apply_snr, run_trial
 
 
-def _specs(*names):
-    return tuple(AlgorithmSpec.from_name(n) for n in names)
-
-
 class TestApplySnr:
     def _config(self, noise, snr_db):
         return SimConfig(n_taps=8, sparsity=2, n_iterations=10, n_trials=1,
-                         snr_db=snr_db, noise=noise, algorithms=_specs("slms"),
+                         snr_db=snr_db, noise=noise, algorithms=algorithm_specs("slms"),
                          master_seed=0)
 
     def test_gaussian_10db(self):
@@ -170,7 +166,7 @@ class TestSimConfigValidation:
     def test_duplicate_algorithms_rejected(self, small_config):
         with pytest.raises(ParameterError, match="^" + re.escape(
                 "algorithms must not repeat a name, got ['slms', 'slms']") + "$"):
-            small_config(algorithms=_specs("slms", "slms"))
+            small_config(algorithms=algorithm_specs("slms", "slms"))
 
     def test_algorithm_that_is_not_a_spec_rejected(self, small_config):
         with pytest.raises(ParameterError, match="^algorithms must be AlgorithmSpec instances$"):
@@ -252,8 +248,9 @@ class TestChunkLayout:
 class TestRunExperiment:
     def test_permuting_algorithms_permutes_output(self, small_config):
         names = ("slms", "slms-rza", "lms-rl1")
-        a = run_experiment(small_config(algorithms=_specs(*names), n_iterations=40))
-        b = run_experiment(small_config(algorithms=_specs(*reversed(names)), n_iterations=40))
+        a = run_experiment(small_config(algorithms=algorithm_specs(*names), n_iterations=40))
+        b = run_experiment(small_config(algorithms=algorithm_specs(*reversed(names)),
+                                        n_iterations=40))
         assert [c.algorithm for c in a] == list(names)
         assert [c.algorithm for c in b] == list(reversed(names))
         for curve in a:
@@ -292,7 +289,7 @@ class TestRunExperiment:
     def test_monotone_sanity_noiseless(self, small_config):
         # every algorithm must end below its first-iteration MSE with z = 0
         config = small_config(noise=None, n_trials=2, n_iterations=600,
-                              algorithms=_specs(*ALL_NAMES))
+                              algorithms=algorithm_specs(*ALL_NAMES))
         for curve in run_experiment(config):
             assert curve.mse_db[-1] < curve.mse_db[0], curve.algorithm
             assert np.all(np.isfinite(curve.mse_db))
@@ -308,7 +305,7 @@ class TestRunExperiment:
 
     def test_curves_finite_when_any_trial_completed(self, small_config):
         config = small_config(n_trials=3, n_iterations=80,
-                              algorithms=_specs("slms", "slms-rl1"))
+                              algorithms=algorithm_specs("slms", "slms-rl1"))
         for curve in run_experiment(config):
             assert curve.trials_diverged < config.n_trials
             assert np.all(np.isfinite(curve.mse_db))
@@ -431,7 +428,7 @@ class TestStableNoiseTheory:
         alpha, snr_db = request.param
         config = SimConfig(n_taps=128, sparsity=8, n_iterations=3000, n_trials=32,
                            snr_db=snr_db, noise=AlphaStableParams(alpha),
-                           algorithms=_specs("slms"), master_seed=2026)
+                           algorithms=algorithm_specs("slms"), master_seed=2026)
         return alpha, *nominal_noise(config), plateau_db(config)["slms"]
 
     def test_plateau_matches_theory(self, plateau):
